@@ -6,7 +6,6 @@
 //! table of medians and quartiles followed by one JSON result line. See
 //! `perfbench/README.md` for the workloads and the metric table.
 
-pub mod json;
 pub mod record;
 pub mod session;
 pub mod smoke;

@@ -45,7 +45,7 @@ impl Provenance {
             seed,
             seconds,
             trace,
-            nproc: online_cpus(),
+            nproc: affinity_cpus(),
             available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
             rustc: env!("PERFBENCH_RUSTC"),
             commit: git_commit().unwrap_or_else(|| "unknown".to_string()),
@@ -53,11 +53,24 @@ impl Provenance {
     }
 }
 
-/// Processors the kernel reports online (0 when it cannot be read).
-fn online_cpus() -> usize {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .map(|text| text.lines().filter(|line| line.starts_with("processor")).count())
-        .unwrap_or(0)
+/// CPUs this process may run on, as `nproc` counts them: the size of its
+/// affinity mask (`Cpus_allowed_list`), 0 when it cannot be read.
+fn affinity_cpus() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status.lines().find_map(|line| line.strip_prefix("Cpus_allowed_list:")).map_or(0, cpu_list_len)
+}
+
+/// CPUs in a kernel CPU list such as `0-3,8,10-11`.
+fn cpu_list_len(list: &str) -> usize {
+    list.trim()
+        .split(',')
+        .filter_map(|range| match range.split_once('-') {
+            Some((first, last)) => {
+                Some(last.parse::<usize>().ok()? + 1 - first.parse::<usize>().ok()?)
+            }
+            None => range.parse::<usize>().ok().map(|_| 1),
+        })
+        .sum()
 }
 
 /// The commit checked out in the working directory, read from `.git` without
@@ -209,5 +222,17 @@ fn json_number(value: f64) -> String {
         format!("{value:?}")
     } else {
         "null".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cpu_lists_count_every_cpu_in_every_range() {
+        assert_eq!(cpu_list_len("\t0-1\n"), 2);
+        assert_eq!(cpu_list_len("0-3,8,10-11"), 7);
+        assert_eq!(cpu_list_len("5"), 1);
     }
 }

@@ -15,10 +15,10 @@ use washtrade_stream::{
 
 use crate::record::{peak_rss_mb, Kind, Record};
 use crate::stats::{grouped_quantile, median, Summary};
-use crate::workload::{same_analysis, Setup};
+use crate::workload::{same_analysis, Setup, BURST_REPEATS};
 
 /// Set-ups per run; `setup_s` is their median.
-pub const SETUPS: usize = 3;
+pub const SETUPS: usize = 5;
 /// `Executor::map` calls timed for `parallel.fanout_us`.
 const FANOUT_CALLS: usize = 500;
 /// Share of a traced run spent on alternating untraced and traced rounds;
@@ -51,11 +51,12 @@ struct Layers {
     dirty_fraction: Vec<f64>,
     stream_unattributed_ms: Vec<f64>,
     build_ms: Vec<f64>,
-    reuse_ratio: Vec<f64>,
+    /// Per pass: activity records resolved afresh over records published.
+    rebuilt_ratio: Vec<f64>,
     variant_us: BTreeMap<&'static str, Vec<f64>>,
     uncached_us: Vec<f64>,
     hit_rate: Vec<f64>,
-    evictions: Vec<f64>,
+    misses_per_publish: Vec<f64>,
     round_s: Vec<f64>,
 }
 
@@ -112,18 +113,18 @@ fn layer_rows(setup: &Setup, l: &Layers, e2e: &EndToEnd, record: &mut Record) {
     record.add(Kind::PerLayer, "live.dirty_fraction", "ratio", &l.dirty_fraction);
     record.add(Kind::PerLayer, "stream.unattributed_ms", "ms", &l.stream_unattributed_ms);
     record.add(Kind::PerLayer, "publish.build_ms", "ms", &l.build_ms);
-    record.add(Kind::PerLayer, "publish.reuse_ratio", "ratio", &l.reuse_ratio);
+    record.add(Kind::PerLayer, "publish.rebuilt_ratio", "ratio", &l.rebuilt_ratio);
     for variant in QUERY_VARIANTS {
         let values = l.variant_us.get(variant).map_or(&[][..], Vec::as_slice);
         record.add(Kind::PerLayer, &format!("query.{variant}_us"), "us", values);
     }
     record.add(Kind::PerLayer, "query.uncached_us", "us", &l.uncached_us);
     record.add(Kind::PerLayer, "cache.hit_rate", "ratio", &l.hit_rate);
-    record.add(Kind::PerLayer, "cache.evictions", "count", &l.evictions);
+    record.add(Kind::PerLayer, "cache.misses_per_publish", "count", &l.misses_per_publish);
     let confirmed = setup.reference.detection.confirmed.iter().map(|activity| activity.nft());
     record.add(Kind::PerLayer, "detect.recall", "ratio", &[setup.recall(confirmed)]);
-    let overhead = (median(&l.round_s) / median(&e2e.round_s) - 1.0) * 100.0;
-    record.add(Kind::PerLayer, "bench.trace_overhead_pct", "%", &[overhead]);
+    let overhead = median(&l.round_s) / median(&e2e.round_s);
+    record.add(Kind::PerLayer, "bench.trace_overhead_ratio", "ratio", &[overhead]);
 }
 
 /// Batch stage names and the layer each one is reported under.
@@ -137,8 +138,16 @@ const STAGE_LAYERS: [(&str, &str); 6] = [
 ];
 
 /// Query variants of the explorer mix, by `Query::variant_name`.
-const QUERY_VARIANTS: [&str; 6] =
-    ["nft", "account", "stats", "top_movers", "top_collections", "marketplaces"];
+const QUERY_VARIANTS: [&str; 8] = [
+    "nft",
+    "account",
+    "stats",
+    "top_movers",
+    "top_collections",
+    "marketplaces",
+    "suspects_since",
+    "suspects_between",
+];
 
 /// A percentile row: the value is the percentile of every pass's samples
 /// pooled; the quartiles are those of the per-pass percentiles. Samples are
@@ -291,8 +300,8 @@ fn stream_pass(
     let service = (!matches!(mode, Mode::Alone)).then(|| QueryService::new(live.publisher()));
     let uncached = matches!(mode, Mode::Traced(_))
         .then(|| QueryService::with_cache(live.publisher(), CacheConfig::disabled()));
-    let repeats = setup.params.burst_repeats;
     let mut log = PassLog::default();
+    let (mut records, mut rebuilt) = (0usize, 0usize);
     for budget in &setup.budgets {
         let started = Instant::now();
         let delta = live.ingest_epoch(*budget);
@@ -306,9 +315,9 @@ fn stream_pass(
         log.epoch_ms.push(seconds * 1e3);
         let Some(service) = &service else { continue };
         let first = log.query_us.len();
-        burst(setup, service, repeats, record, &mut log.query_us);
+        burst(setup, service, BURST_REPEATS, record, &mut log.query_us);
         if let (Mode::Traced(layers), Some(uncached)) = (&mut mode, &uncached) {
-            for (query, us) in burst_queries(setup, repeats).zip(&log.query_us[first..]) {
+            for (query, us) in burst_queries(setup, BURST_REPEATS).zip(&log.query_us[first..]) {
                 layers.variant_us.entry(query.variant_name()).or_default().push(*us);
             }
             burst(setup, uncached, 1, record, &mut layers.uncached_us);
@@ -321,7 +330,8 @@ fn stream_pass(
                 .push(delta.wall_time_ns.saturating_sub(delta.reassemble_ns) as f64 / 1e6);
             layers.dirty_fraction.push(delta.dirty_nfts as f64 / delta.total_nfts.max(1) as f64);
             layers.build_ms.push(build_ms);
-            layers.reuse_ratio.push(build.chunk_reuse_ratio());
+            records += build.records_total;
+            rebuilt += build.records_total - build.records_reused;
             log.reported_ms.push(reassemble_ms + build_ms);
         }
     }
@@ -329,7 +339,8 @@ fn stream_pass(
     if let (Mode::Traced(layers), Some(service)) = (&mut mode, &service) {
         let stats = service.cache_stats();
         layers.hit_rate.push(stats.hit_rate());
-        layers.evictions.push(stats.evictions as f64);
+        layers.misses_per_publish.push(stats.misses as f64 / log.epoch_ms.len().max(1) as f64);
+        layers.rebuilt_ratio.push(rebuilt as f64 / records.max(1) as f64);
     }
     log
 }
@@ -398,6 +409,6 @@ fn probes(setup: &Setup, record: &mut Record, deadline: Instant) {
             break;
         }
     }
-    let overhead = (median(&on) / median(&off) - 1.0) * 100.0;
-    record.add(Kind::PerLayer, "obs.recording_overhead_pct", "%", &[overhead]);
+    let overhead = median(&on) / median(&off);
+    record.add(Kind::PerLayer, "obs.recording_overhead_ratio", "ratio", &[overhead]);
 }

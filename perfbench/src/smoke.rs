@@ -3,7 +3,8 @@
 
 use std::path::Path;
 
-use crate::json::{self, Value};
+use bench_suite::json::{self, Json};
+
 use crate::workload::Workload;
 use crate::RunConfig;
 
@@ -29,7 +30,10 @@ pub fn run(benchmark_json: &Path) -> Vec<String> {
             if record.failed != 0 {
                 problems.push(format!("{context}: {} checks failed\n{text}", record.failed));
             }
-            let metrics = manifest.get(list).map_or(&[][..], Value::as_array);
+            let metrics = match manifest.get(list) {
+                Some(Json::Arr(metrics)) => metrics.as_slice(),
+                _ => &[],
+            };
             if metrics.is_empty() {
                 problems.push(format!("BENCHMARK.json lists no `{list}` metrics"));
             }
@@ -39,6 +43,7 @@ pub fn run(benchmark_json: &Path) -> Vec<String> {
                     .filter_map(|metric| missing(metric, &text))
                     .map(|p| format!("{context}: {p}")),
             );
+            problems.extend(unmeasured(&text).into_iter().map(|p| format!("{context}: {p}")));
         }
     }
     problems
@@ -46,9 +51,9 @@ pub fn run(benchmark_json: &Path) -> Vec<String> {
 
 /// Why `metric` is not properly printed in `text`, if it is not: it needs a
 /// table row with its name and unit, and a JSON entry with the same unit.
-fn missing(metric: &Value, text: &str) -> Option<String> {
-    let name = metric.get("name").and_then(Value::as_str)?;
-    let unit = metric.get("unit").and_then(Value::as_str)?;
+fn missing(metric: &Json, text: &str) -> Option<String> {
+    let name = as_str(metric.get("name")?)?;
+    let unit = as_str(metric.get("unit")?)?;
     let in_table = text.lines().any(|line| {
         let mut words = line.split_whitespace();
         words.next() == Some(name) && words.next() == Some(unit)
@@ -56,26 +61,60 @@ fn missing(metric: &Value, text: &str) -> Option<String> {
     if !in_table {
         return Some(format!("no table row for `{name}` in `{unit}`"));
     }
-    let last = text.lines().last().unwrap_or_default();
-    let result = match json::parse(last) {
+    let result = match result_line(text) {
         Ok(result) => result,
-        Err(error) => return Some(format!("last line is not JSON ({error})")),
+        Err(problem) => return Some(problem),
     };
-    let keys: Vec<&str> = match &result {
-        Value::Object(members) => members.iter().map(|(key, _)| key.as_str()).collect(),
-        _ => Vec::new(),
-    };
-    if keys != ["correct", "attempted", "failed", "metrics"] {
-        return Some(format!("result line has keys {keys:?}"));
-    }
     let entry = result.get("metrics").and_then(|metrics| metrics.get(name));
     match entry {
-        Some(entry)
-            if entry.get("unit").and_then(Value::as_str) == Some(unit)
-                && matches!(entry.get("value"), Some(Value::Number(_))) =>
-        {
-            None
-        }
+        Some(entry) if entry.get("unit").and_then(as_str) == Some(unit) => None,
         _ => Some(format!("result line lacks `{name}` in `{unit}`")),
+    }
+}
+
+/// Every metric value in the result line that is not a positive, finite
+/// number: a metric that can read 0 or below cannot be compared as a share
+/// of its median.
+fn unmeasured(text: &str) -> Vec<String> {
+    let metrics = match result_line(text) {
+        Ok(result) => match result.get("metrics") {
+            Some(Json::Obj(metrics)) => metrics.clone(),
+            _ => return vec!["result line has no `metrics` object".to_string()],
+        },
+        Err(problem) => return vec![problem],
+    };
+    metrics
+        .iter()
+        .filter_map(|(name, entry)| {
+            let value = match entry.get("value") {
+                Some(Json::Float(value)) => *value,
+                Some(Json::Int(value)) => *value as f64,
+                other => return Some(format!("`{name}` has value {other:?}")),
+            };
+            (!(value.is_finite() && value > 0.0)).then(|| format!("`{name}` reads {value}"))
+        })
+        .collect()
+}
+
+/// The JSON result on the last line of `text`, with exactly the four keys
+/// the result format names.
+fn result_line(text: &str) -> Result<Json, String> {
+    let last = text.lines().last().unwrap_or_default();
+    let result = json::parse(last).map_err(|error| format!("last line is not JSON ({error})"))?;
+    let keys: Vec<&str> = match &result {
+        Json::Obj(members) => members.keys().map(String::as_str).collect(),
+        _ => Vec::new(),
+    };
+    // The object's keys come back sorted.
+    if keys != ["attempted", "correct", "failed", "metrics"] {
+        return Err(format!("result line has keys {keys:?}"));
+    }
+    Ok(result)
+}
+
+fn as_str(value: &Json) -> Option<&str> {
+    match value {
+        Json::Str(text) => Some(text),
+        _ => None,
     }
 }

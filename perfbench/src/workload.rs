@@ -10,9 +10,11 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
+use bench_suite::input_of;
+use ethsim::{Address, BlockNumber};
 use tokens::NftId;
 use washtrade::pipeline::{analyze_with, AnalysisInput, AnalysisOptions, AnalysisReport};
-use washtrade_serve::Query;
+use washtrade_serve::{Query, Snapshot};
 use washtrade_stream::{LiveReport, StreamAnalyzer, StreamOptions};
 use workload::{EpochPlan, WorkloadConfig, World};
 
@@ -27,7 +29,7 @@ pub enum Workload {
     /// The same world streamed in 96 fine epochs: per-epoch fixed costs
     /// dominate and the batch stage functions barely run.
     StreamFine,
-    /// A smaller world in 48 epochs with a large query burst after every
+    /// A smaller world in 48 epochs with a query burst after every
     /// publish: reads beside writes, cache misses after each invalidation.
     ServeMixed,
 }
@@ -41,11 +43,13 @@ pub struct Params {
     pub epochs: usize,
     /// Batch studies per session round (each round also streams once).
     pub studies_per_round: usize,
-    /// `Nft` and `Account` lookups in the query mix (each).
-    pub lookups: usize,
-    /// Times the query mix is replayed after each publish.
-    pub burst_repeats: usize,
 }
+
+/// Times the query mix is replayed after each publish, on every workload.
+/// The publish invalidates the cache, so the first replay misses and the
+/// other three hit: one query in four takes the miss path. `query_p50_us`
+/// then falls among the hits and `query_p99_us` among the misses.
+pub const BURST_REPEATS: usize = 4;
 
 impl Workload {
     pub const ALL: [Workload; 3] =
@@ -67,27 +71,9 @@ impl Workload {
     /// size the benchmark's own tests use.
     pub fn params(self, smoke: bool) -> Params {
         let params = match self {
-            Workload::BatchLarge => Params {
-                scale: 0.12,
-                epochs: 1,
-                studies_per_round: 2,
-                lookups: 16,
-                burst_repeats: 16,
-            },
-            Workload::StreamFine => Params {
-                scale: 0.12,
-                epochs: 96,
-                studies_per_round: 1,
-                lookups: 16,
-                burst_repeats: 2,
-            },
-            Workload::ServeMixed => Params {
-                scale: 0.05,
-                epochs: 48,
-                studies_per_round: 1,
-                lookups: 32,
-                burst_repeats: 8,
-            },
+            Workload::BatchLarge => Params { scale: 0.12, epochs: 1, studies_per_round: 2 },
+            Workload::StreamFine => Params { scale: 0.12, epochs: 96, studies_per_round: 1 },
+            Workload::ServeMixed => Params { scale: 0.05, epochs: 48, studies_per_round: 1 },
         };
         if smoke {
             Params { scale: 0.01, epochs: params.epochs.min(8), ..params }
@@ -146,16 +132,18 @@ impl Setup {
             .expect("world generation succeeds for every paper_scaled config");
         let budgets = EpochPlan::straddling(&world, params.epochs).budgets();
         let reference = analyze_with(input_of(&world), AnalysisOptions::default());
-        let mix = query_mix(&world, seed, params.lookups);
         let planted = world.truth.iter().map(|truth| truth.nft).collect();
-        let setup = Setup { workload, params, world, budgets, reference, mix, planted };
+        let mut setup =
+            Setup { workload, params, world, budgets, reference, mix: Vec::new(), planted };
 
-        // Warm-up: one stream to the tip, checked against the batch study.
+        // Warm-up: one stream to the tip, checked against the batch study;
+        // the query mix is drawn from the snapshot it converges to.
         let mut live = StreamAnalyzer::new(setup.input(), StreamOptions::default());
         for budget in &setup.budgets {
             live.ingest_epoch(*budget);
         }
         setup.check_tip(live.report(), record);
+        setup.mix = query_mix(&live.snapshot());
         setup
     }
 
@@ -190,15 +178,6 @@ impl Setup {
     }
 }
 
-fn input_of(world: &World) -> AnalysisInput<'_> {
-    AnalysisInput {
-        chain: &world.chain,
-        labels: &world.labels,
-        directory: &world.directory,
-        oracle: &world.oracle,
-    }
-}
-
 /// Whether two batch reports carry the same analysis (stage timings aside).
 pub fn same_analysis(a: &AnalysisReport, b: &AnalysisReport) -> bool {
     a.detection == b.detection
@@ -210,24 +189,31 @@ pub fn same_analysis(a: &AnalysisReport, b: &AnalysisReport) -> bool {
         && a.dataset_transfers == b.dataset_transfers
 }
 
-/// The explorer mix: the four aggregate views plus `lookups` NFT and
-/// `lookups` account lookups spread evenly over the planted suspects and
-/// their accounts, starting at a seed-chosen offset.
-fn query_mix(world: &World, seed: u64, lookups: usize) -> Vec<Query> {
-    let mut mix =
-        vec![Query::Stats, Query::TopMovers(10), Query::TopCollections(10), Query::Marketplaces];
-    let nfts: Vec<NftId> = world.truth.iter().map(|truth| truth.nft).collect();
-    let accounts = world.wash_accounts();
-    mix.extend(spread(&nfts, seed, lookups).into_iter().map(Query::Nft));
-    mix.extend(spread(&accounts, seed, lookups).into_iter().map(Query::Account));
+/// The explorer mix of the repository's serving bench (`build_mix` in
+/// `crates/bench/benches/query_throughput.rs`), drawn from a converged
+/// snapshot: the four rollups and rankings, three windowed suspect feeds,
+/// two lookups that find nothing, and 8 NFT and 8 account lookups spaced
+/// evenly over the suspects and accounts. 25 distinct queries.
+fn query_mix(snapshot: &Snapshot) -> Vec<Query> {
+    let watermark = snapshot.watermark().0;
+    let mut mix = vec![
+        Query::Stats,
+        Query::TopMovers(10),
+        Query::TopCollections(5),
+        Query::Marketplaces,
+        Query::SuspectsSince(BlockNumber(0)),
+        Query::SuspectsSince(BlockNumber(watermark / 2)),
+        Query::SuspectsBetween(BlockNumber(watermark / 4), BlockNumber(watermark / 2)),
+        Query::Nft(NftId::new(Address::derived("no-such-collection"), 404)),
+        Query::Account(Address::derived("uninvolved-bystander")),
+    ];
+    let suspects = snapshot.suspects();
+    mix.extend(
+        (0..8).filter_map(|i| suspects.get(i * suspects.len() / 8)).map(|s| Query::Nft(s.nft)),
+    );
+    let accounts = snapshot.accounts();
+    mix.extend(
+        (0..8).filter_map(|i| accounts.get(i * accounts.len() / 8)).map(|a| Query::Account(*a)),
+    );
     mix
-}
-
-/// `count` items evenly spaced over `items`, rotated by `seed`.
-fn spread<T: Copy>(items: &[T], seed: u64, count: usize) -> Vec<T> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let offset = (seed % items.len() as u64) as usize;
-    (0..count).map(|i| items[(offset + i * items.len() / count) % items.len()]).collect()
 }
