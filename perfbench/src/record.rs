@@ -118,11 +118,7 @@ impl Record {
         if !self.check(!values.is_empty(), || format!("no samples for `{name}`")) {
             return;
         }
-        self.add_summary(kind, name, unit, Summary::of(values));
-    }
-
-    /// Add a row with an already computed summary.
-    pub fn add_summary(&mut self, kind: Kind, name: &str, unit: &'static str, summary: Summary) {
+        let summary = Summary::of(values);
         self.rows.push(Row { name: name.to_string(), unit, kind, summary });
     }
 

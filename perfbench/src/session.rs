@@ -14,7 +14,7 @@ use washtrade_stream::{
 };
 
 use crate::record::{peak_rss_mb, Kind, Record};
-use crate::stats::{grouped_quantile, median, Summary};
+use crate::stats::{grouped_quantile, median};
 use crate::workload::{same_analysis, Setup, BURST_REPEATS};
 
 /// Set-ups per run; `setup_s` is their median.
@@ -149,9 +149,10 @@ const QUERY_VARIANTS: [&str; 8] = [
     "suspects_between",
 ];
 
-/// A percentile row: the value is the percentile of every pass's samples
-/// pooled; the quartiles are those of the per-pass percentiles. Samples are
-/// whole nanoseconds, `ns` in the row's unit.
+/// A percentile row: each pass's `q`-percentile, summarized over the
+/// passes, so the value is the median pass's percentile. Pooling the passes
+/// instead would let a contention episode covering a tenth of a run set the
+/// p90. Samples are whole nanoseconds, `ns` in the row's unit.
 fn add_percentile(
     record: &mut Record,
     name: &str,
@@ -160,11 +161,6 @@ fn add_percentile(
     per_pass: &[Vec<f64>],
     q: f64,
 ) {
-    let mut pooled: Vec<f64> = per_pass.iter().flatten().copied().collect();
-    if !record.check(!pooled.is_empty(), || format!("no samples for `{name}`")) {
-        return;
-    }
-    pooled.sort_by(f64::total_cmp);
     let pass_values: Vec<f64> = per_pass
         .iter()
         .filter(|pass| !pass.is_empty())
@@ -174,10 +170,7 @@ fn add_percentile(
             grouped_quantile(&sorted, q, ns)
         })
         .collect();
-    let spread = Summary::of(&pass_values);
-    let value = grouped_quantile(&pooled, q, ns);
-    let summary = Summary { median: value, q1: spread.q1, q3: spread.q3, n: pooled.len() };
-    record.add_summary(Kind::EndToEnd, name, unit, summary);
+    record.add(Kind::EndToEnd, name, unit, &pass_values);
 }
 
 /// Studies then one stream pass with query bursts, timing only
