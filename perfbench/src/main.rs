@@ -1,13 +1,13 @@
 //! Command line:
 //!
 //! ```text
-//! perfbench --workload <batch_large|stream_fine|serve_mixed> --seed <n> \
+//! perfbench --workload <batch_large|serve_mixed> --seed <n> \
 //!           --seconds <s> --trace <0|1>
 //! perfbench --smoke [BENCHMARK.json]
 //! ```
 //!
-//! The last line of standard output is the JSON result. `--smoke` runs all
-//! three workloads on a small world and checks that every metric named in
+//! The last line of standard output is the JSON result. `--smoke` runs both
+//! workloads on a small world and checks that every metric named in
 //! `BENCHMARK.json` is printed with its unit and that no check failed.
 
 use std::path::Path;

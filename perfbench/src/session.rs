@@ -89,7 +89,9 @@ pub fn run(setup: &Setup, setup_s: &[f64], seconds: f64, trace: bool, record: &m
     record.add(Kind::EndToEnd, "study_s", "s", &e2e.study_s);
     record.add(Kind::EndToEnd, "catchup_s", "s", &e2e.catchup_s);
     add_percentile(record, "epoch_p50_ms", "ms", 1e-6, &e2e.epoch_ms, 0.5);
-    add_percentile(record, "epoch_p90_ms", "ms", 1e-6, &e2e.epoch_ms, 0.9);
+    // p75 is the highest percentile of a 48-epoch pass with ten epochs
+    // beyond it; a pass p90 rests on five and follows host stalls.
+    add_percentile(record, "epoch_p75_ms", "ms", 1e-6, &e2e.epoch_ms, 0.75);
     add_percentile(record, "query_p50_us", "us", 1e-3, &e2e.query_us, 0.5);
     add_percentile(record, "query_p99_us", "us", 1e-3, &e2e.query_us, 0.99);
     if trace {
@@ -151,8 +153,8 @@ const QUERY_VARIANTS: [&str; 8] = [
 
 /// A percentile row: each pass's `q`-percentile, summarized over the
 /// passes, so the value is the median pass's percentile. Pooling the passes
-/// instead would let a contention episode covering a tenth of a run set the
-/// p90. Samples are whole nanoseconds, `ns` in the row's unit.
+/// instead would let a contention episode covering a tenth of a run set a
+/// high percentile. Samples are whole nanoseconds, `ns` in the row's unit.
 fn add_percentile(
     record: &mut Record,
     name: &str,

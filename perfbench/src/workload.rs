@@ -1,4 +1,4 @@
-//! The three workloads, their set-up and the explorer query mix.
+//! The two workloads, their set-up and the explorer query mix.
 //!
 //! Every workload runs the same session against one seeded world: batch
 //! studies (`analyze_with`), a stream from genesis to the tip
@@ -26,11 +26,9 @@ pub enum Workload {
     /// Large world, studied whole over and over; the stream side ingests
     /// the chain in one epoch, so reassembly and publish do little.
     BatchLarge,
-    /// The same world streamed in 96 fine epochs: per-epoch fixed costs
-    /// dominate and the batch stage functions barely run.
-    StreamFine,
     /// A smaller world in 48 epochs with a query burst after every
-    /// publish: reads beside writes, cache misses after each invalidation.
+    /// publish: per-epoch fixed costs dominate the stream, and reads run
+    /// beside writes, with cache misses after each invalidation.
     ServeMixed,
 }
 
@@ -52,13 +50,11 @@ pub struct Params {
 pub const BURST_REPEATS: usize = 4;
 
 impl Workload {
-    pub const ALL: [Workload; 3] =
-        [Workload::BatchLarge, Workload::StreamFine, Workload::ServeMixed];
+    pub const ALL: [Workload; 2] = [Workload::BatchLarge, Workload::ServeMixed];
 
     pub fn name(self) -> &'static str {
         match self {
             Workload::BatchLarge => "batch_large",
-            Workload::StreamFine => "stream_fine",
             Workload::ServeMixed => "serve_mixed",
         }
     }
@@ -72,7 +68,6 @@ impl Workload {
     pub fn params(self, smoke: bool) -> Params {
         let params = match self {
             Workload::BatchLarge => Params { scale: 0.12, epochs: 1, studies_per_round: 2 },
-            Workload::StreamFine => Params { scale: 0.12, epochs: 96, studies_per_round: 1 },
             Workload::ServeMixed => Params { scale: 0.05, epochs: 48, studies_per_round: 1 },
         };
         if smoke {
