@@ -1,16 +1,10 @@
 //! Ingest-throughput scale sweep: the three-phase (parallel decode →
 //! serial reconcile → parallel splice) dataset build, measured over world
-//! size × thread count, against two baselines:
-//!
-//! * `pr4_baseline` — the `build_dataset` stage of the PR-4 binary on the
-//!   same worlds and host (recorded constants, the cross-PR trajectory),
-//! * the same-binary [`bench_suite::legacy`] path — the old materializing
-//!   serial algorithm recompiled against the current substrate, isolating
-//!   the two-phase pipeline's own contribution from the substrate wins
-//!   (hash-free log scans, Fx-hashed maps) that speed both paths up.
+//! size × thread count.
 //!
 //! Every sweep point is verified: the built dataset must be bit-identical to
-//! the legacy baseline's, and the end-to-end `AnalysisReport` must render
+//! the per-log reference ([`Dataset::apply_entries`] over every transfer log
+//! of the chain), and the end-to-end `AnalysisReport` must render
 //! byte-identically at every thread count before any timing is recorded.
 //!
 //! The measured pass merges an `ingest` section into `BENCH_results.json`:
@@ -19,17 +13,13 @@
 //! "ingest": {
 //!   "host_threads": …, "thread_counts": [1, 2, 4, 8],
 //!   "worlds": [ { "scale": …, "transfers": …, "blocks": …,
-//!                 "baseline_pr4_ns": …, "baseline_materializing_ns": …,
 //!                 "report_identical_across_threads": true,
 //!                 "runs": [ { "threads": …, "wall_ns": …, "decode_ns": …,
 //!                             "commit_ns": …, "reconcile_ns": …,
-//!                             "shards": …, "transfers_per_sec": …,
-//!                             "speedup_vs_pr4": …,
-//!                             "speedup_vs_materializing": … }, … ],
+//!                             "shards": …, "transfers_per_sec": … }, … ],
 //!                 "commit_scaling": [ { "threads": …, "commit_ns": …,
 //!                                       "speedup_vs_serial_commit": …,
 //!                                       "efficiency": … }, … ] }, … ],
-//!   "build_dataset_speedup_large_8_threads": …,
 //!   "scaling_efficiency": …
 //! }
 //! ```
@@ -43,9 +33,9 @@
 
 use std::time::Instant;
 
+use bench_suite::input_of;
 use bench_suite::json::Json;
 use bench_suite::results::{merge_section, results_path};
-use bench_suite::{input_of, legacy, pr4_baseline};
 use criterion::{criterion_group, Criterion};
 use ethsim::BlockNumber;
 use washtrade::dataset::Dataset;
@@ -57,22 +47,19 @@ use workload::WorldScale;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Criterion timings on the small sweep world: the legacy materializing path
-/// versus the sharded path at one and at eight threads.
+/// Criterion timings on the small sweep world: the sharded path at one and
+/// at eight threads.
 fn bench_ingest_throughput(c: &mut Criterion) {
     let world = bench_suite::build_sized_world(WorldScale::Small);
 
     let mut group = c.benchmark_group("ingest_throughput");
-    group.bench_function("materializing_serial_baseline", |b| {
-        b.iter(|| legacy::materializing_ingest(&world.chain, &world.directory).transfer_count())
-    });
     group.bench_function("three_phase_1_thread", |b| {
         let executor = Executor::new(1);
-        b.iter(|| Dataset::build_with(&world.chain, &world.directory, &executor).transfer_count())
+        b.iter(|| Dataset::build(&world.chain, &world.directory, &executor).transfer_count())
     });
     group.bench_function("three_phase_8_threads", |b| {
         let executor = Executor::new(8);
-        b.iter(|| Dataset::build_with(&world.chain, &world.directory, &executor).transfer_count())
+        b.iter(|| Dataset::build(&world.chain, &world.directory, &executor).transfer_count())
     });
     group.finish();
 }
@@ -84,7 +71,7 @@ fn measure_build(world: &workload::World, executor: &Executor) -> (u64, IngestMe
     for _ in 0..3 {
         let started = Instant::now();
         let mut dataset = Dataset::default();
-        let (_, metrics) = dataset.ingest_blocks_instrumented(
+        let (_, metrics) = dataset.ingest_blocks(
             &world.chain,
             &world.directory,
             BlockNumber(0),
@@ -99,24 +86,22 @@ fn measure_build(world: &workload::World, executor: &Executor) -> (u64, IngestMe
     best.expect("three runs happened")
 }
 
-fn measure_legacy(world: &workload::World) -> (u64, Dataset) {
-    let mut best: Option<(u64, Dataset)> = None;
-    for _ in 0..3 {
-        let started = Instant::now();
-        let dataset = legacy::materializing_ingest(&world.chain, &world.directory);
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        if best.as_ref().is_none_or(|(fastest, _)| wall_ns < *fastest) {
-            best = Some((wall_ns, dataset));
-        }
-    }
-    best.expect("three runs happened")
+/// The per-log reference dataset: every transfer log of the chain applied
+/// to an empty dataset through [`Dataset::apply_entries`].
+fn per_log_reference(world: &workload::World) -> Dataset {
+    let mut dataset = Dataset::default();
+    dataset.apply_entries(
+        &world.chain,
+        &world.directory,
+        &world.chain.logs(&Dataset::transfer_filter()),
+    );
+    dataset
 }
 
 /// The sweep: world size × thread count, every point equality-checked,
 /// recorded into the `ingest` section of `BENCH_results.json`.
 fn record_results() {
     let mut worlds = Vec::new();
-    let mut headline: Option<f64> = None;
     let mut scaling_headline: Option<f64> = None;
 
     for scale in WorldScale::ALL {
@@ -124,15 +109,7 @@ fn record_results() {
         let input = input_of(&world);
         let blocks = world.chain.current_block_number().0 + 1;
 
-        let (legacy_ns, reference) = measure_legacy(&world);
-        let (pr4_ns, pr4_transfers) =
-            pr4_baseline::for_scale(scale.label()).expect("every sweep scale has a baseline");
-        assert_eq!(
-            reference.transfer_count() as u64,
-            pr4_transfers,
-            "{}: the sweep world drifted from the one the PR-4 baseline was recorded on",
-            scale.label()
-        );
+        let reference = per_log_reference(&world);
 
         // End-to-end determinism gate: the full report must render
         // byte-identically at every swept thread count.
@@ -150,7 +127,7 @@ fn record_results() {
             assert_eq!(
                 dataset,
                 reference,
-                "{} at {threads} threads: sharded ingest diverged from the serial baseline",
+                "{} at {threads} threads: sharded ingest diverged from the per-log reference",
                 scale.label()
             );
             let report = render_deterministic(&analyze_with(
@@ -164,10 +141,6 @@ fn record_results() {
                 scale.label()
             );
 
-            let speedup_vs_pr4 = pr4_ns as f64 / wall_ns.max(1) as f64;
-            if scale == WorldScale::Large && threads == 8 {
-                headline = Some(speedup_vs_pr4);
-            }
             let mut run = Json::object();
             run.set("threads", Json::Int(threads as i64));
             run.set("wall_ns", Json::Int(wall_ns as i64));
@@ -179,11 +152,6 @@ fn record_results() {
             run.set(
                 "transfers_per_sec",
                 Json::Float(metrics.appended as f64 / (wall_ns.max(1) as f64 / 1e9)),
-            );
-            run.set("speedup_vs_pr4", Json::Float(speedup_vs_pr4));
-            run.set(
-                "speedup_vs_materializing",
-                Json::Float(legacy_ns as f64 / wall_ns.max(1) as f64),
             );
             runs.push(run);
         }
@@ -213,8 +181,6 @@ fn record_results() {
         entry.set("transfers", Json::Int(reference.transfer_count() as i64));
         entry.set("raw_events", Json::Int(reference.raw_transfer_events as i64));
         entry.set("blocks", Json::Int(blocks as i64));
-        entry.set("baseline_pr4_ns", Json::Int(pr4_ns as i64));
-        entry.set("baseline_materializing_ns", Json::Int(legacy_ns as i64));
         entry.set("report_identical_across_threads", Json::Bool(true));
         entry.set("runs", Json::Arr(runs));
         entry.set("commit_scaling", Json::Arr(commit_scaling));
@@ -238,10 +204,6 @@ fn record_results() {
     );
     section.set("seed", Json::Int(bench_suite::SWEEP_SEED as i64));
     section.set("worlds", Json::Arr(worlds));
-    section.set(
-        "build_dataset_speedup_large_8_threads",
-        Json::Float(headline.expect("the sweep covers large at 8 threads")),
-    );
     section.set(
         "scaling_efficiency",
         Json::Float(scaling_headline.expect("the sweep covers large at 8 threads")),

@@ -13,6 +13,7 @@ use washtrade::{
     characterize::characterize,
     dataset::Dataset,
     detect::Detector,
+    parallel::Executor,
     pipeline::{analyze_with, AnalysisInput, AnalysisOptions},
     profit::{analyze_resales, analyze_rewards},
     refine::Refiner,
@@ -23,35 +24,55 @@ use washtrade::{
 fn bench_pipeline_stages(c: &mut Criterion) {
     let world = bench_suite::build_small_world(1);
     let mut group = c.benchmark_group("pipeline_stages");
+    let serial = Executor::new(1);
+    let all_cores = Executor::default();
 
     group.bench_function("table1_dataset_build", |b| {
-        b.iter(|| Dataset::build(&world.chain, &world.directory))
+        b.iter(|| Dataset::build(&world.chain, &world.directory, &serial))
     });
 
-    let dataset = Dataset::build(&world.chain, &world.directory);
+    let dataset = Dataset::build(&world.chain, &world.directory, &serial);
     group.bench_function("sec4a_graph_construction", |b| {
-        b.iter(|| NftGraph::from_dataset(&dataset))
+        b.iter(|| NftGraph::from_dataset(&dataset, &all_cores))
     });
 
     // The graph table is NftKey-indexed: no keyed map is needed anywhere.
-    let graphs = NftGraph::from_dataset(&dataset);
+    let graphs = NftGraph::from_dataset(&dataset, &all_cores);
     group.bench_function("sec4b_refinement", |b| {
-        b.iter(|| Refiner::new(&world.chain, &world.labels, &dataset.interner).refine(&graphs))
-    });
-
-    let (candidates, _) =
-        Refiner::new(&world.chain, &world.labels, &dataset.interner).refine(&graphs);
-    group.bench_function("fig2_detection", |b| {
         b.iter(|| {
-            Detector::new(&world.chain, &world.labels, &dataset.interner)
-                .detect(&candidates, &graphs)
+            Refiner::new(&world.chain, &world.labels, &dataset.interner).refine(&graphs, &all_cores)
         })
     });
 
-    let detection =
-        Detector::new(&world.chain, &world.labels, &dataset.interner).detect(&candidates, &graphs);
+    let (candidates, _) =
+        Refiner::new(&world.chain, &world.labels, &dataset.interner).refine(&graphs, &all_cores);
+    group.bench_function("fig2_detection", |b| {
+        b.iter(|| {
+            Detector::new(&world.chain, &world.labels, &dataset.interner).detect(
+                &candidates,
+                &graphs,
+                &all_cores,
+            )
+        })
+    });
+
+    let detection = Detector::new(&world.chain, &world.labels, &dataset.interner).detect(
+        &candidates,
+        &graphs,
+        &all_cores,
+    );
     group.bench_function("table2_fig3to7_characterization", |b| {
-        b.iter(|| characterize(&detection.confirmed, &dataset, &world.directory, &world.oracle))
+        b.iter(|| {
+            let table1 = dataset.marketplace_volumes(&world.directory, &world.oracle, &serial);
+            characterize(
+                &detection.confirmed,
+                &dataset,
+                &table1,
+                &world.directory,
+                &world.oracle,
+                &serial,
+            )
+        })
     });
 
     group.bench_function("table3_reward_profitability", |b| {
@@ -62,6 +83,7 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                 &world.directory,
                 &world.oracle,
                 &dataset.interner,
+                &serial,
             )
         })
     });
@@ -75,6 +97,7 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                 &world.oracle,
                 &graphs,
                 &dataset.interner,
+                &serial,
             )
         })
     });

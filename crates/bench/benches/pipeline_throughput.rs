@@ -1,45 +1,31 @@
 //! Pipeline-throughput benchmark for the interned-ID columnar core: runs the
-//! staged pipeline on the standard experiments workload, records per-stage
-//! wall times, transfers/sec and resident bytes per transfer, and reports
-//! speedups against the recorded cross-PR baselines — PR-2 (map-based
-//! pipeline, on the workload it was captured on) and PR-5 (pre
-//! parallel-commit / arena-graph, on the large sweep world).
+//! staged pipeline on the standard experiments workload and on the large
+//! sweep world, recording per-stage wall times, transfers/sec and resident
+//! bytes per transfer.
 //!
 //! The measured pass merges a `columnar` section into `BENCH_results.json`:
 //!
 //! ```json
 //! "columnar": {
-//!   "end_to_end_ns": …, "transfers_per_sec": …,
+//!   "world": …, "transfers": …, "end_to_end_ns": …, "stage_total_ns": …,
+//!   "transfers_per_sec": …, "resident_bytes": …,
 //!   "resident_bytes_per_transfer": …,
-//!   "baseline_pr2_end_to_end_ns": …, "speedup_vs_pr2_end_to_end": …,
-//!   "stages": [{ "stage": …, "wall_time_ns": …,
-//!                "baseline_pr2_ns": …, "speedup_vs_pr2": … }, …]
+//!   "stages": [{ "stage": …, "wall_time_ns": … }, …]
 //! }
 //! ```
 //!
-//! and a `columnar_large` section of the same shape carrying
-//! `baseline_pr5_ns` / `speedup_vs_pr5` per stage plus
-//! `speedup_vs_pr5_end_to_end` — the trajectory gate for the refine and
-//! graph-construction hotspots this sweep world exercises. Stage timings are
-//! the best of three passes, so one scheduler hiccup cannot distort the
-//! recorded trajectory.
+//! and a `columnar_large` section of the same shape for the large sweep
+//! world. Stage timings are the best of three passes, so one scheduler
+//! hiccup cannot distort the recorded numbers.
 
 use std::time::Instant;
 
 use bench_suite::json::Json;
 use bench_suite::results::{merge_section, results_path};
-use bench_suite::{pr2_baseline, pr5_baseline};
 use criterion::{criterion_group, Criterion};
 use washtrade::dataset::Dataset;
+use washtrade::parallel::Executor;
 use washtrade::pipeline::{analyze_with, AnalysisOptions, AnalysisReport};
-
-/// Which cross-PR baseline a recorded world compares against (only
-/// meaningful on the world the baseline was captured on).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Baseline {
-    Pr2,
-    Pr5,
-}
 
 /// Criterion timings on the cheap small world: the dataset build (interning
 /// + columnar append) and the full staged pipeline.
@@ -49,7 +35,8 @@ fn bench_pipeline_throughput(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("pipeline_throughput");
     group.bench_function("intern_and_columnize_dataset", |b| {
-        b.iter(|| Dataset::build(&world.chain, &world.directory).transfer_count())
+        let executor = Executor::new(1);
+        b.iter(|| Dataset::build(&world.chain, &world.directory, &executor).transfer_count())
     });
     group.bench_function("end_to_end_columnar", |b| {
         b.iter(|| analyze_with(input, AnalysisOptions::default()).detection.confirmed.len())
@@ -62,19 +49,11 @@ fn bench_pipeline_throughput(c: &mut Criterion) {
 /// scale (`columnar_large`) so future PRs inherit a scale baseline beyond
 /// the small worlds.
 fn record_results() {
-    // The same workload the PR-2 baseline was captured on.
-    record_world(
-        bench_suite::build_world(0.02, 7),
-        "paper_scaled(7, 0.02)",
-        "columnar",
-        Baseline::Pr2,
-    );
-    // The same world the PR-5 baseline was captured on.
+    record_world(bench_suite::build_world(0.02, 7), "paper_scaled(7, 0.02)", "columnar");
     record_world(
         bench_suite::build_sized_world(workload::WorldScale::Large),
         "large",
         "columnar_large",
-        Baseline::Pr5,
     );
 }
 
@@ -95,15 +74,14 @@ fn measure_pipeline(input: washtrade::pipeline::AnalysisInput<'_>) -> (u64, Anal
     (end_to_end_ns, report)
 }
 
-/// Measure one world's staged pipeline and merge it under `section`,
-/// attaching the stage speedups of `baseline`.
-fn record_world(world: workload::World, world_label: &str, section_name: &str, baseline: Baseline) {
+/// Measure one world's staged pipeline and merge it under `section`.
+fn record_world(world: workload::World, world_label: &str, section_name: &str) {
     let input = bench_suite::input_of(&world);
     let (end_to_end_ns, report) = measure_pipeline(input);
 
     // Memory accounting: the columnar store plus the interner tables,
     // divided by the transfers they hold.
-    let dataset = Dataset::build(&world.chain, &world.directory);
+    let dataset = Dataset::build(&world.chain, &world.directory, &Executor::new(1));
     let resident_bytes = dataset.columns.resident_bytes() + dataset.interner.resident_bytes();
     let transfers = dataset.transfer_count() as u64;
 
@@ -112,24 +90,6 @@ fn record_world(world: workload::World, world_label: &str, section_name: &str, b
         let mut stage = Json::object();
         stage.set("stage", Json::Str(metrics.stage.clone()));
         stage.set("wall_time_ns", Json::Int(metrics.wall_time_ns as i64));
-        let recorded = match baseline {
-            Baseline::Pr2 => pr2_baseline::STAGES_NS
-                .iter()
-                .find(|(name, _)| *name == metrics.stage)
-                .map(|(_, ns)| *ns),
-            Baseline::Pr5 => pr5_baseline::for_stage(&metrics.stage),
-        };
-        if let Some(baseline_ns) = recorded {
-            let (key_ns, key_speedup) = match baseline {
-                Baseline::Pr2 => ("baseline_pr2_ns", "speedup_vs_pr2"),
-                Baseline::Pr5 => ("baseline_pr5_ns", "speedup_vs_pr5"),
-            };
-            stage.set(key_ns, Json::Int(baseline_ns as i64));
-            stage.set(
-                key_speedup,
-                Json::Float(baseline_ns as f64 / metrics.wall_time_ns.max(1) as f64),
-            );
-        }
         stages.push(stage);
     }
     let stage_total_ns: u64 = report.stage_metrics.iter().map(|m| m.wall_time_ns).sum();
@@ -148,24 +108,6 @@ fn record_world(world: workload::World, world_label: &str, section_name: &str, b
         "resident_bytes_per_transfer",
         Json::Float(resident_bytes as f64 / transfers.max(1) as f64),
     );
-    match baseline {
-        Baseline::Pr2 => {
-            section
-                .set("baseline_pr2_end_to_end_ns", Json::Int(pr2_baseline::END_TO_END_NS as i64));
-            section.set(
-                "speedup_vs_pr2_end_to_end",
-                Json::Float(pr2_baseline::END_TO_END_NS as f64 / stage_total_ns.max(1) as f64),
-            );
-        }
-        Baseline::Pr5 => {
-            section
-                .set("baseline_pr5_stage_total_ns", Json::Int(pr5_baseline::STAGE_TOTAL_NS as i64));
-            section.set(
-                "speedup_vs_pr5_end_to_end",
-                Json::Float(pr5_baseline::STAGE_TOTAL_NS as f64 / stage_total_ns.max(1) as f64),
-            );
-        }
-    }
     section.set("stages", Json::Arr(stages));
 
     let path = results_path();

@@ -1,6 +1,6 @@
 //! Print the perf trajectory recorded in `BENCH_results.json` as readable
 //! tables — the non-gating summary step CI runs after the benches, so the
-//! stage and ingest speedups are visible in the job log without downloading
+//! stage and ingest numbers are visible in the job log without downloading
 //! the artifact.
 //!
 //! Reads the results file from `$BENCH_RESULTS_PATH` or the workspace root
@@ -45,27 +45,18 @@ fn print_stage_table(root: &Json) {
         return;
     };
     println!("pipeline stages ({}):", str_of(columnar.get("world")).unwrap_or("?"));
-    println!("  {:<16} {:>12} {:>14} {:>10}", "stage", "wall ms", "pr2 base ms", "speedup");
-    if let Some(Json::Arr(stages)) = columnar.get("stages") {
+    println!("  {:<16} {:>12}", "stage", "wall ms");
+    print_stages(columnar);
+}
+
+/// One `stage  wall ms` row per recorded pipeline stage.
+fn print_stages(section: &Json) {
+    if let Some(Json::Arr(stages)) = section.get("stages") {
         for stage in stages {
             let name = str_of(stage.get("stage")).unwrap_or("?");
             let wall = int_of(stage.get("wall_time_ns")).unwrap_or(0);
-            let base = int_of(stage.get("baseline_pr2_ns"));
-            let speedup = float_of(stage.get("speedup_vs_pr2"));
-            match (base, speedup) {
-                (Some(base), Some(speedup)) => println!(
-                    "  {:<16} {:>12.3} {:>14.3} {:>9.2}x",
-                    name,
-                    ms(wall),
-                    ms(base),
-                    speedup
-                ),
-                _ => println!("  {:<16} {:>12.3}", name, ms(wall)),
-            }
+            println!("  {:<16} {:>12.3}", name, ms(wall));
         }
-    }
-    if let Some(speedup) = float_of(columnar.get("speedup_vs_pr2_end_to_end")) {
-        println!("  end-to-end speedup vs PR-2: {speedup:.2}x");
     }
 }
 
@@ -77,16 +68,8 @@ fn print_ingest_table(root: &Json) {
     let host = int_of(ingest.get("host_threads")).unwrap_or(0);
     println!("ingest scale sweep (three-phase decode→reconcile→splice, host threads: {host}):");
     println!(
-        "  {:<8} {:>10} {:>8} {:>10} {:>10} {:>10} {:>12} {:>9} {:>9}",
-        "scale",
-        "transfers",
-        "threads",
-        "wall ms",
-        "decode ms",
-        "commit ms",
-        "reconcile ms",
-        "vs PR-4",
-        "vs mat."
+        "  {:<8} {:>10} {:>8} {:>10} {:>10} {:>10} {:>12}",
+        "scale", "transfers", "threads", "wall ms", "decode ms", "commit ms", "reconcile ms"
     );
     if let Some(Json::Arr(worlds)) = ingest.get("worlds") {
         for world in worlds {
@@ -95,7 +78,7 @@ fn print_ingest_table(root: &Json) {
             if let Some(Json::Arr(runs)) = world.get("runs") {
                 for run in runs {
                     println!(
-                        "  {:<8} {:>10} {:>8} {:>10.3} {:>10.3} {:>10.3} {:>12.3} {:>8.2}x {:>8.2}x",
+                        "  {:<8} {:>10} {:>8} {:>10.3} {:>10.3} {:>10.3} {:>12.3}",
                         scale,
                         transfers,
                         int_of(run.get("threads")).unwrap_or(0),
@@ -103,15 +86,10 @@ fn print_ingest_table(root: &Json) {
                         ms(int_of(run.get("decode_ns")).unwrap_or(0)),
                         ms(int_of(run.get("commit_ns")).unwrap_or(0)),
                         ms(int_of(run.get("reconcile_ns")).unwrap_or(0)),
-                        float_of(run.get("speedup_vs_pr4")).unwrap_or(0.0),
-                        float_of(run.get("speedup_vs_materializing")).unwrap_or(0.0),
                     );
                 }
             }
         }
-    }
-    if let Some(headline) = float_of(ingest.get("build_dataset_speedup_large_8_threads")) {
-        println!("  build_dataset speedup, large world @ 8 threads vs PR-4: {headline:.2}x");
     }
     print_commit_scaling(ingest, host);
 }
@@ -166,25 +144,7 @@ fn print_scale_baselines(root: &Json) {
                 {
                     println!("{label}: end-to-end {:.1} ms, {:.0} transfers/sec", ms(end), tps);
                 }
-                if let Some(Json::Arr(stages)) = value.get("stages") {
-                    for stage in stages {
-                        if let (Some(name), Some(wall), Some(speedup)) = (
-                            str_of(stage.get("stage")),
-                            int_of(stage.get("wall_time_ns")),
-                            float_of(stage.get("speedup_vs_pr5")),
-                        ) {
-                            println!(
-                                "  {:<16} {:>10.3} ms   vs PR-5: {:>6.2}x",
-                                name,
-                                ms(wall),
-                                speedup
-                            );
-                        }
-                    }
-                }
-                if let Some(speedup) = float_of(value.get("speedup_vs_pr5_end_to_end")) {
-                    println!("  stage-total speedup vs PR-5: {speedup:.2}x");
-                }
+                print_stages(value);
             }
             "bench_streaming_large" => {
                 if let (Some(total), Some(bps)) =

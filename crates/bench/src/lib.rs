@@ -6,7 +6,6 @@
 pub mod json;
 pub mod results;
 
-use washtrade::dataset::{Dataset, NftTransfer};
 use washtrade::pipeline::{analyze, AnalysisInput, AnalysisReport};
 use workload::{WorkloadConfig, World, WorldScale};
 
@@ -25,142 +24,13 @@ pub fn build_small_world(seed: u64) -> World {
 }
 
 /// The standard seed every scale-sweep world uses, so numbers recorded at
-/// different times (and the [`pr4_baseline`] constants) describe the same
-/// chains.
+/// different times describe the same chains.
 pub const SWEEP_SEED: u64 = 7;
 
 /// Build one of the three standard sweep worlds ([`WorldScale`]) at the
 /// standard seed.
 pub fn build_sized_world(scale: WorldScale) -> World {
     World::generate(scale.config(SWEEP_SEED)).expect("world generation succeeds")
-}
-
-/// The serial, materializing ingest path as it shipped before the two-phase
-/// sharded pipeline: `chain.logs` clones every matching log into a
-/// `Vec<LogEntry>`, a first pass probes compliance per entry, a second pass
-/// re-looks the transaction up by hash and re-scans its ERC-20 payment logs
-/// for every ERC-721 log it carries.
-///
-/// Kept (in the bench crate only) as the same-binary baseline the
-/// ingest-throughput sweep measures against; `sweeps_match_the_sharded_path`
-/// pins it bit-identical to the production path.
-pub mod legacy {
-    use super::*;
-    use ethsim::{Chain, Wei};
-    use marketplace::MarketplaceDirectory;
-    use tokens::NftId;
-
-    /// Build a dataset through the pre-sharding ingest path.
-    pub fn materializing_ingest(chain: &Chain, directory: &MarketplaceDirectory) -> Dataset {
-        let entries = chain.logs(&Dataset::transfer_filter());
-        let mut dataset = Dataset::default();
-        dataset.raw_transfer_events += entries.len();
-        for entry in &entries {
-            let contract = entry.log.address;
-            if dataset.compliant_contracts.contains(&contract)
-                || dataset.non_compliant_contracts.contains(&contract)
-            {
-                continue;
-            }
-            let supports = chain
-                .code_at(contract)
-                .map(tokens::compliance::supports_erc721_interface)
-                .unwrap_or(false);
-            if supports {
-                dataset.compliant_contracts.insert(contract);
-            } else {
-                dataset.non_compliant_contracts.insert(contract);
-            }
-        }
-        for entry in &entries {
-            let Some(decoded) = entry.log.decode_erc721_transfer() else {
-                continue;
-            };
-            if !dataset.compliant_contracts.contains(&decoded.contract) {
-                continue;
-            }
-            let tx = chain.transaction(entry.tx_hash).expect("log entries have transactions");
-            let price = if !tx.value.is_zero() {
-                tx.value
-            } else {
-                let erc20_paid: u128 = tx
-                    .logs
-                    .iter()
-                    .filter_map(|log| log.decode_erc20_transfer())
-                    .filter(|t| t.from == decoded.to)
-                    .map(|t| t.amount)
-                    .sum();
-                Wei::new(erc20_paid)
-            };
-            let marketplace = tx.to.filter(|to| directory.by_contract(*to).is_some());
-            dataset.push_transfer(&NftTransfer {
-                nft: NftId::new(decoded.contract, decoded.token_id),
-                from: decoded.from,
-                to: decoded.to,
-                tx_hash: entry.tx_hash,
-                block: entry.block,
-                timestamp: entry.timestamp,
-                price,
-                marketplace,
-            });
-        }
-        dataset
-    }
-}
-
-/// The `build_dataset` stage of the PR-4 binary (the commit immediately
-/// before the two-phase sharded ingest landed), measured on the single-core
-/// reference machine over the exact sweep worlds ([`WorldScale`] × seed
-/// [`SWEEP_SEED`]) right before this PR's changes — the cross-PR trajectory
-/// baseline the ingest bench reports speedups against, following the
-/// [`pr2_baseline`] convention. (The [`legacy`] path is the complementary
-/// *same-binary* baseline: the old algorithm recompiled against the current
-/// substrate, so both algorithm-level and end-state speedups stay visible.)
-pub mod pr4_baseline {
-    /// `(scale label, build_dataset wall ns, compliant transfers)` per sweep
-    /// world.
-    pub const BUILD_DATASET_NS: [(&str, u64, u64); 3] = [
-        ("small", 4_237_411, 4_352),
-        ("medium", 23_617_846, 17_819),
-        ("large", 57_541_310, 40_151),
-    ];
-
-    /// The recorded baseline for one scale label.
-    pub fn for_scale(label: &str) -> Option<(u64, u64)> {
-        BUILD_DATASET_NS
-            .iter()
-            .find(|(scale, _, _)| *scale == label)
-            .map(|(_, ns, transfers)| (*ns, *transfers))
-    }
-}
-
-/// The staged pipeline's timings on the **large** sweep world
-/// ([`WorldScale::Large`] × seed [`SWEEP_SEED`]) as of PR 5 — the
-/// `columnar_large` section of `BENCH_results.json` measured on the
-/// single-core reference machine immediately before the parallel-commit +
-/// arena-graph PR landed, best of five passes per stage to filter scheduler
-/// noise. The `pipeline_throughput` bench reports `speedup_vs_pr5` against
-/// these numbers: refine and graph construction were the rising hotspots
-/// this PR attacks, so their trajectory is the headline.
-pub mod pr5_baseline {
-    /// `(stage name, wall-time ns)` per pipeline stage, in execution order.
-    pub const STAGES_NS: [(&str, u64); 6] = [
-        ("build_dataset", 22_229_824),
-        ("build_graphs", 17_358_180),
-        ("refine", 22_000_782),
-        ("detect", 10_065_224),
-        ("characterize", 18_483_705),
-        ("profit", 8_232_889),
-    ];
-    /// Sum of the stage timings, nanoseconds.
-    pub const STAGE_TOTAL_NS: u64 = 98_370_604;
-    /// Compliant transfers in the large sweep world at that commit.
-    pub const TRANSFERS: u64 = 40_151;
-
-    /// The recorded baseline for one stage name.
-    pub fn for_stage(name: &str) -> Option<u64> {
-        STAGES_NS.iter().find(|(stage, _)| *stage == name).map(|(_, ns)| *ns)
-    }
 }
 
 /// The [`AnalysisInput`] view of a world — one place to keep the field
@@ -232,30 +102,6 @@ pub mod paper {
     pub const ACQUIRED_SAME_DAY: f64 = 0.39;
 }
 
-/// The PR-2 (address-keyed, map-based) pipeline's timings on the standard
-/// experiments workload (`paper_scaled(7, 0.02)`, single-core reference
-/// machine), recorded from `BENCH_results.json` immediately before the
-/// interned-ID columnar core landed. The `pipeline_throughput` bench reports
-/// the columnar pipeline's speedup against these numbers so the perf
-/// trajectory stays visible PR over PR.
-pub mod pr2_baseline {
-    /// `(stage name, wall-time ns)` per pipeline stage, in execution order.
-    pub const STAGES_NS: [(&str, u64); 6] = [
-        ("build_dataset", 11_424_256),
-        ("build_graphs", 3_056_126),
-        ("refine", 3_850_612),
-        ("detect", 2_309_878),
-        ("characterize", 37_431_393),
-        ("profit", 2_031_417),
-    ];
-    /// End-to-end wall time (sum of the stage timings), nanoseconds.
-    pub const END_TO_END_NS: u64 = 60_103_682;
-    /// Compliant transfers in the workload at that scale.
-    pub const TRANSFERS: u64 = 8_248;
-    /// The epoch-sliced streaming pass over the same world, nanoseconds.
-    pub const STREAM_TOTAL_NS: u64 = 151_004_424;
-}
-
 /// Format a measured-vs-paper comparison line.
 pub fn compare(label: &str, measured: f64, paper: f64, unit: &str) -> String {
     format!("  {label:<52} measured: {measured:>10.3}{unit}   paper: {paper:>10.3}{unit}")
@@ -275,37 +121,5 @@ mod tests {
     #[test]
     fn paper_venn_buckets_sum_to_total() {
         assert_eq!(paper::VENN_BUCKETS.iter().sum::<usize>(), paper::VENN_TOTAL);
-    }
-
-    #[test]
-    fn legacy_ingest_matches_the_sharded_path() {
-        let world = build_small_world(9);
-        let baseline = legacy::materializing_ingest(&world.chain, &world.directory);
-        let sharded = Dataset::build_with(
-            &world.chain,
-            &world.directory,
-            &washtrade::parallel::Executor::new(4),
-        );
-        assert_eq!(baseline, sharded, "legacy baseline drifted from the production ingest");
-    }
-
-    #[test]
-    fn pr5_baseline_stages_are_consistent() {
-        assert_eq!(pr5_baseline::STAGES_NS.iter().map(|(_, ns)| ns).sum::<u64>(), {
-            pr5_baseline::STAGE_TOTAL_NS
-        });
-        assert_eq!(pr5_baseline::for_stage("refine"), Some(22_000_782));
-        assert!(pr5_baseline::for_stage("galactic").is_none());
-        // The baseline describes the same world the pr4 sweep constants do.
-        let (_, pr4_transfers) = pr4_baseline::for_scale("large").unwrap();
-        assert_eq!(pr5_baseline::TRANSFERS, pr4_transfers);
-    }
-
-    #[test]
-    fn pr4_baseline_covers_every_sweep_scale() {
-        for scale in WorldScale::ALL {
-            assert!(pr4_baseline::for_scale(scale.label()).is_some(), "{:?}", scale);
-        }
-        assert!(pr4_baseline::for_scale("galactic").is_none());
     }
 }

@@ -19,7 +19,7 @@ use marketplace::MarketplaceDirectory;
 use oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, MarketplaceVolume};
 use crate::detect::DenseActivity;
 use crate::parallel::Executor;
 use crate::refine::DenseCandidate;
@@ -241,9 +241,10 @@ pub fn activity_facts(
 
 /// The dataset-level inputs of the characterization: per-marketplace totals
 /// (Table I), the unaffected-trading volume CDF (Fig. 3 baseline) and
-/// collection creation times (Fig. 5). The batch path builds these by
-/// scanning the columns ([`characterize_baseline`]); the streaming analyzer
-/// maintains each one incrementally and hands the maintained values in.
+/// collection creation times (Fig. 5). The batch path builds these from the
+/// study's Table I rows and one scan of the columns
+/// ([`characterize_baseline`]); the streaming analyzer maintains each one
+/// incrementally and hands the maintained values in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CharacterizeBaseline {
     /// Marketplace name → total (wash + legit) volume in USD.
@@ -254,24 +255,23 @@ pub struct CharacterizeBaseline {
     pub collection_created: HashMap<Address, Timestamp>,
 }
 
-/// Build the [`CharacterizeBaseline`] by scanning the dataset — the batch
-/// path. The per-row USD pricing of the legit-volume scan fans out over
-/// `executor` in row-order-preserving chunks, so the collected vector (and
-/// with it the CDF) is identical at any thread count.
+/// Build the [`CharacterizeBaseline`] for the batch path: the market totals
+/// come from the study's Table I rows (`table1`, computed once per study by
+/// [`Dataset::marketplace_volumes`]), the rest from one scan of the columns.
+/// The per-row USD pricing of the legit-volume scan fans out over `executor`
+/// in row-order-preserving chunks, so the collected vector (and with it the
+/// CDF) is identical at any thread count.
 pub fn characterize_baseline(
     activities: &[DenseActivity],
     dataset: &Dataset,
-    directory: &MarketplaceDirectory,
+    table1: &[MarketplaceVolume],
     oracle: &PriceOracle,
     executor: &Executor,
 ) -> CharacterizeBaseline {
     let interner = &dataset.interner;
     let columns = &dataset.columns;
-    let market_totals: HashMap<String, f64> = dataset
-        .marketplace_volumes_with(directory, oracle, executor)
-        .into_iter()
-        .map(|row| (row.name, row.volume_usd))
-        .collect();
+    let market_totals: HashMap<String, f64> =
+        table1.iter().map(|row| (row.name.clone(), row.volume_usd)).collect();
 
     let wash_txs: HashSet<ethsim::TxHash> = activities
         .iter()
@@ -332,24 +332,17 @@ pub fn characterize_baseline(
 /// Produce the §V characterization of the confirmed activities.
 ///
 /// `dataset` supplies the interner, the unaffected-trading baseline (Fig. 3)
-/// and collection creation times (Fig. 5); `directory` and `oracle` provide
-/// marketplace attribution and USD conversion.
+/// and collection creation times (Fig. 5); `table1` is the study's Table I,
+/// whose per-marketplace totals the Table II shares divide by; `directory`
+/// and `oracle` provide marketplace attribution and USD conversion. The
+/// per-activity facts and the per-row baseline pricing fan out over
+/// `executor`; facts come back in activity order and every float fold runs
+/// in the final reduce in one fixed order, so the result is bit-identical at
+/// any thread count.
 pub fn characterize(
     activities: &[DenseActivity],
     dataset: &Dataset,
-    directory: &MarketplaceDirectory,
-    oracle: &PriceOracle,
-) -> Characterization {
-    characterize_with(activities, dataset, directory, oracle, &Executor::new(1))
-}
-
-/// [`characterize`] with the per-activity facts and the per-row baseline
-/// pricing fanned out over `executor`. Facts come back in activity order and
-/// every float fold runs in the final reduce exactly as the serial path
-/// folds it, so the result is bit-identical at any thread count.
-pub fn characterize_with(
-    activities: &[DenseActivity],
-    dataset: &Dataset,
+    table1: &[MarketplaceVolume],
     directory: &MarketplaceDirectory,
     oracle: &PriceOracle,
     executor: &Executor,
@@ -358,7 +351,7 @@ pub fn characterize_with(
     let facts = executor.map(activities, |activity| {
         activity_facts(&activity.candidate, dataset, directory, oracle, &catalogue)
     });
-    let baseline = characterize_baseline(activities, dataset, directory, oracle, executor);
+    let baseline = characterize_baseline(activities, dataset, table1, oracle, executor);
     characterize_from_parts(activities, &facts, baseline)
 }
 
@@ -710,11 +703,23 @@ mod tests {
         (MarketplaceDirectory::new(), PriceOracle::paper_presets(Timestamp::from_secs(0), 400, 1))
     }
 
+    /// Characterize on one thread against the dataset's own Table I.
+    fn characterized(
+        activities: &[DenseActivity],
+        dataset: &Dataset,
+        directory: &MarketplaceDirectory,
+        oracle: &PriceOracle,
+    ) -> Characterization {
+        let executor = Executor::new(1);
+        let table1 = dataset.marketplace_volumes(directory, oracle, &executor);
+        characterize(activities, dataset, &table1, directory, oracle, &executor)
+    }
+
     #[test]
     fn pattern_and_account_statistics() {
         let (dataset, activities) = fixtures();
         let (directory, oracle) = directory_and_oracle();
-        let characterization = characterize(&activities, &dataset, &directory, &oracle);
+        let characterization = characterized(&activities, &dataset, &directory, &oracle);
         assert_eq!(characterization.total_activities, 4);
         assert_eq!(characterization.patterns.accounts_histogram[0], 1); // self-trade
         assert_eq!(characterization.patterns.accounts_histogram[1], 2); // pairs
@@ -730,7 +735,7 @@ mod tests {
     fn lifetime_statistics() {
         let (dataset, activities) = fixtures();
         let (directory, oracle) = directory_and_oracle();
-        let characterization = characterize(&activities, &dataset, &directory, &oracle);
+        let characterization = characterized(&activities, &dataset, &directory, &oracle);
         // Two activities are same-day, one lasts 3 days (within ten), one 20.
         assert!((characterization.lifetimes.within_one_day - 0.5).abs() < 1e-9);
         assert!((characterization.lifetimes.within_ten_days - 0.75).abs() < 1e-9);
@@ -740,7 +745,7 @@ mod tests {
     fn serial_trader_statistics() {
         let (dataset, activities) = fixtures();
         let (directory, oracle) = directory_and_oracle();
-        let characterization = characterize(&activities, &dataset, &directory, &oracle);
+        let characterization = characterized(&activities, &dataset, &directory, &oracle);
         let serial = &characterization.serial_traders;
         assert_eq!(serial.total_accounts, 6);
         assert_eq!(serial.serial_accounts, 2); // s1 and s2
@@ -756,7 +761,7 @@ mod tests {
     fn marketplace_rows_cover_off_market_activity() {
         let (dataset, activities) = fixtures();
         let (directory, oracle) = directory_and_oracle();
-        let characterization = characterize(&activities, &dataset, &directory, &oracle);
+        let characterization = characterized(&activities, &dataset, &directory, &oracle);
         assert_eq!(characterization.per_marketplace.len(), 1);
         assert_eq!(characterization.per_marketplace[0].name, "Off-market");
         assert_eq!(characterization.per_marketplace[0].activities, 4);
@@ -768,7 +773,7 @@ mod tests {
     fn collection_timelines_rank_by_affected_nfts() {
         let (dataset, activities) = fixtures();
         let (directory, oracle) = directory_and_oracle();
-        let characterization = characterize(&activities, &dataset, &directory, &oracle);
+        let characterization = characterized(&activities, &dataset, &directory, &oracle);
         assert_eq!(characterization.collection_timelines.len(), 2);
         assert!(
             characterization.collection_timelines[0].affected_nfts
@@ -780,7 +785,7 @@ mod tests {
     fn empty_input_produces_empty_characterization() {
         let dataset = Dataset::default();
         let (directory, oracle) = directory_and_oracle();
-        let characterization = characterize(&[], &dataset, &directory, &oracle);
+        let characterization = characterized(&[], &dataset, &directory, &oracle);
         assert_eq!(characterization.total_activities, 0);
         assert_eq!(characterization.total_volume_usd, 0.0);
         assert!(characterization.per_marketplace.is_empty());

@@ -105,23 +105,13 @@ impl Dataset {
     /// mirroring §III-A: scan transfer events, check compliance, store the
     /// per-NFT transfer lists with price and marketplace annotations.
     ///
-    /// Runs the two-phase ingest pipeline ([`Dataset::ingest_blocks`]) on a
-    /// single thread. Equivalent to applying every log entry of the chain to
-    /// an empty dataset through [`Dataset::apply_entries`] — the
-    /// arbitrary-slice incremental entry point — and bit-identical to
-    /// [`Dataset::build_with`] at any thread count: every path interns
-    /// through the same [`Dataset::push_transfer`] seam in execution order.
-    pub fn build(chain: &Chain, directory: &MarketplaceDirectory) -> Dataset {
-        Self::build_with(chain, directory, &Executor::new(1))
-    }
-
-    /// [`Dataset::build`] with an explicit thread budget for the parallel
-    /// decode phase. The result is bit-identical at any thread count.
-    pub fn build_with(
-        chain: &Chain,
-        directory: &MarketplaceDirectory,
-        executor: &Executor,
-    ) -> Dataset {
+    /// Runs the three-phase ingest pipeline ([`Dataset::ingest_blocks`])
+    /// over `executor`. Equivalent to applying every log entry of the chain
+    /// to an empty dataset through [`Dataset::apply_entries`] — the
+    /// arbitrary-slice incremental entry point — and bit-identical at any
+    /// thread count: every path interns through the same
+    /// [`Dataset::push_transfer`] seam in execution order.
+    pub fn build(chain: &Chain, directory: &MarketplaceDirectory, executor: &Executor) -> Dataset {
         let mut dataset = Dataset::default();
         dataset.ingest_blocks(
             chain,
@@ -293,23 +283,15 @@ impl Dataset {
 
     /// Per-marketplace totals (Table I): NFTs, transactions and volume of all
     /// activity attributed to each marketplace.
+    ///
+    /// A two-level fold: the USD pricing of each NFT's marketplace rows
+    /// ([`Dataset::nft_market_leaves`], the expensive half) fans out over
+    /// `executor`, then a serial [`MarketVolumeFold`] replays the
+    /// per-transaction accumulation in identity-sorted NFT order — the exact
+    /// order the one-level loop used, so the f64 totals are bit-identical at
+    /// any thread count. The streaming analyzer reuses the same fold over
+    /// *cached* leaves, repricing only dirty NFTs.
     pub fn marketplace_volumes(
-        &self,
-        directory: &MarketplaceDirectory,
-        oracle: &PriceOracle,
-    ) -> Vec<MarketplaceVolume> {
-        self.marketplace_volumes_with(directory, oracle, &Executor::new(1))
-    }
-
-    /// [`Dataset::marketplace_volumes`] as a two-level fold: the USD pricing
-    /// of each NFT's marketplace rows ([`Dataset::nft_market_leaves`], the
-    /// expensive half) fans out over `executor`, then a serial
-    /// [`MarketVolumeFold`] replays the per-transaction accumulation in
-    /// identity-sorted NFT order — the exact order the one-level loop used,
-    /// so the f64 totals are bit-identical at any thread count. The
-    /// streaming analyzer reuses the same fold over *cached* leaves,
-    /// repricing only dirty NFTs.
-    pub fn marketplace_volumes_with(
         &self,
         directory: &MarketplaceDirectory,
         oracle: &PriceOracle,
@@ -535,7 +517,7 @@ mod tests {
     #[test]
     fn compliance_filter_excludes_rogue_contracts() {
         let (chain, _tokens, directory, contracts) = build_world();
-        let dataset = Dataset::build(&chain, &directory);
+        let dataset = Dataset::build(&chain, &directory, &Executor::new(1));
         assert!(dataset.compliant_contracts.contains(&contracts[0]));
         assert!(dataset.non_compliant_contracts.contains(&contracts[1]));
         // Raw events include the rogue transfers; the dataset does not.
@@ -547,7 +529,7 @@ mod tests {
     #[test]
     fn prices_and_marketplace_attribution() {
         let (chain, _tokens, directory, contracts) = build_world();
-        let dataset = Dataset::build(&chain, &directory);
+        let dataset = Dataset::build(&chain, &directory, &Executor::new(1));
         let nft = NftId::new(contracts[0], 0);
         let transfers = dataset.transfers_of(nft);
         assert_eq!(transfers.len(), 2);
@@ -568,9 +550,9 @@ mod tests {
     #[test]
     fn marketplace_volumes_report_table1_rows() {
         let (chain, _tokens, directory, _) = build_world();
-        let dataset = Dataset::build(&chain, &directory);
+        let dataset = Dataset::build(&chain, &directory, &Executor::new(1));
         let oracle = PriceOracle::paper_presets(Timestamp::from_secs(1_640_995_200), 30, 1);
-        let rows = dataset.marketplace_volumes(&directory, &oracle);
+        let rows = dataset.marketplace_volumes(&directory, &oracle, &Executor::new(1));
         assert_eq!(rows.len(), 2);
         let opensea = rows.iter().find(|r| r.name == "OpenSea").unwrap();
         assert_eq!(opensea.nfts, 1);
@@ -584,7 +566,7 @@ mod tests {
     #[test]
     fn accounts_cover_all_transfer_parties_in_sorted_order() {
         let (chain, _tokens, directory, _) = build_world();
-        let dataset = Dataset::build(&chain, &directory);
+        let dataset = Dataset::build(&chain, &directory, &Executor::new(1));
         let accounts = dataset.accounts();
         assert!(accounts.contains(&Address::derived("alice")));
         assert!(accounts.contains(&Address::derived("bob")));
@@ -595,7 +577,7 @@ mod tests {
     #[test]
     fn incremental_application_matches_one_shot_build() {
         let (chain, _tokens, directory, _) = build_world();
-        let batch = Dataset::build(&chain, &directory);
+        let batch = Dataset::build(&chain, &directory, &Executor::new(1));
         // Replay the same logs in two slices through the incremental seam.
         let entries = chain.logs(&Dataset::transfer_filter());
         let mut incremental = Dataset::default();

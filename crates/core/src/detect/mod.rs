@@ -232,26 +232,16 @@ impl<'a> Detector<'a> {
         Detector { chain, labels, interner }
     }
 
-    /// Evaluate every candidate using one thread per available core; thin
-    /// wrapper over [`Detector::detect_with`].
-    pub fn detect(
-        &self,
-        candidates: &[DenseCandidate],
-        graphs: &[NftGraph],
-    ) -> DenseDetectionOutcome {
-        self.detect_with(candidates, graphs, &Executor::default())
-    }
-
     /// Evaluate every candidate and return the confirmed activities together
     /// with the method-comparison statistics.
     ///
     /// `graphs` is the [`NftKey`]-indexed graph table ([`NftGraph::
-    /// from_dataset_with`] output): the zero-risk computation needs the
-    /// trades that cross the component boundary. Per-candidate evidence is
+    /// from_dataset`] output): the zero-risk computation needs the trades
+    /// that cross the component boundary. Per-candidate evidence is
     /// independent, so it is gathered over the executor's thread budget;
     /// evidence comes back in candidate order, making the outcome identical
     /// at any thread count.
-    pub fn detect_with(
+    pub fn detect(
         &self,
         candidates: &[DenseCandidate],
         graphs: &[NftGraph],
@@ -260,37 +250,24 @@ impl<'a> Detector<'a> {
         let evidence = executor.map(candidates, |candidate| {
             self.evaluate(candidate, graphs.get(candidate.nft.index()))
         });
-        Detector::assemble(candidates, evidence)
-    }
-
-    /// Run the leverage pass (§IV-C v) over per-candidate base evidence and
-    /// assemble the final [`DenseDetectionOutcome`] (Venn counts, self-trade
-    /// and rejection tallies).
-    ///
-    /// `evidence[i]` must be the [`Detector::evaluate`] result for
-    /// `candidates[i]` with `leveraged` still `false`. This is a pure
-    /// function of its inputs: the streaming subsystem caches base evidence
-    /// per NFT and re-assembles the global outcome each epoch through this
-    /// same code path, which is what makes the live and batch outcomes
-    /// bit-identical.
-    pub fn assemble(
-        candidates: &[DenseCandidate],
-        evidence: Vec<MethodSet>,
-    ) -> DenseDetectionOutcome {
-        assert_eq!(candidates.len(), evidence.len(), "one evidence record per candidate");
         let pairs: Vec<(&DenseCandidate, MethodSet)> = candidates.iter().zip(evidence).collect();
-        Detector::assemble_indexed(&pairs).0
+        Detector::assemble(&pairs).0
     }
 
-    /// [`Detector::assemble`] over borrowed candidates, additionally
-    /// returning the input indices of the confirmed activities (in confirmed
-    /// order). The streaming reassembly walks its per-NFT caches into a pair
-    /// list without cloning every candidate each epoch, and uses the indices
-    /// to line the confirmed set up with the cached characterize/profit
-    /// facts that live alongside each candidate.
-    pub fn assemble_indexed(
-        pairs: &[(&DenseCandidate, MethodSet)],
-    ) -> (DenseDetectionOutcome, Vec<u32>) {
+    /// Run the leverage pass (§IV-C v) over `(candidate, base evidence)`
+    /// pairs and assemble the final [`DenseDetectionOutcome`] (Venn counts,
+    /// self-trade and rejection tallies), together with the input indices
+    /// of the confirmed activities (in confirmed order).
+    ///
+    /// Each pair's evidence must be the [`Detector::evaluate`] result for
+    /// its candidate with `leveraged` still `false`. This is a pure function
+    /// of its inputs: the streaming subsystem caches base evidence per NFT,
+    /// walks its caches into a pair list each epoch without cloning every
+    /// candidate, and re-assembles the global outcome through this same code
+    /// path — which is what makes the live and batch outcomes bit-identical.
+    /// The indices line the confirmed set up with the cached
+    /// characterize/profit facts that live alongside each candidate.
+    pub fn assemble(pairs: &[(&DenseCandidate, MethodSet)]) -> (DenseDetectionOutcome, Vec<u32>) {
         // Leverage pass: any unconfirmed candidate whose account set matches a
         // confirmed activity's account set is confirmed too. Account lists
         // are consistently address-sorted id lists, so slice equality is
@@ -382,8 +359,9 @@ mod tests {
         chain: &Chain,
         labels: &LabelRegistry,
     ) -> (Vec<DenseCandidate>, Vec<NftGraph>) {
-        let graphs = NftGraph::from_dataset(dataset);
-        let (candidates, _) = Refiner::new(chain, labels, &dataset.interner).refine(&graphs);
+        let graphs = NftGraph::from_dataset(dataset, &Executor::default());
+        let (candidates, _) =
+            Refiner::new(chain, labels, &dataset.interner).refine(&graphs, &Executor::default());
         (candidates, graphs)
     }
 
@@ -423,7 +401,7 @@ mod tests {
         let (chain, labels, dataset, candidates, graphs) = wash_world();
         assert_eq!(candidates.len(), 1);
         let detector = Detector::new(&chain, &labels, &dataset.interner);
-        let outcome = detector.detect(&candidates, &graphs);
+        let outcome = detector.detect(&candidates, &graphs, &Executor::default());
         assert_eq!(outcome.confirmed.len(), 1);
         assert_eq!(outcome.rejected, 0);
         let methods = outcome.confirmed[0].methods;
@@ -460,8 +438,11 @@ mod tests {
         let labels = LabelRegistry::new();
         let (candidates, graphs) = refined(&dataset, &chain, &labels);
         assert_eq!(candidates.len(), 1);
-        let outcome =
-            Detector::new(&chain, &labels, &dataset.interner).detect(&candidates, &graphs);
+        let outcome = Detector::new(&chain, &labels, &dataset.interner).detect(
+            &candidates,
+            &graphs,
+            &Executor::default(),
+        );
         assert!(outcome.confirmed.is_empty());
         assert_eq!(outcome.rejected, 1);
         assert_eq!(outcome.venn.total(), 0);
@@ -494,8 +475,11 @@ mod tests {
         let (candidates, graphs) = refined(&dataset, &chain, &labels);
         assert_eq!(candidates.len(), 2);
 
-        let outcome =
-            Detector::new(&chain, &labels, &dataset.interner).detect(&candidates, &graphs);
+        let outcome = Detector::new(&chain, &labels, &dataset.interner).detect(
+            &candidates,
+            &graphs,
+            &Executor::default(),
+        );
         assert_eq!(outcome.confirmed.len(), 2);
         assert_eq!(outcome.leveraged_only, 1);
         let key2 = dataset.interner.nft_key(nft2).unwrap();
@@ -520,8 +504,11 @@ mod tests {
         ]);
         let labels = LabelRegistry::new();
         let (candidates, graphs) = refined(&dataset, &chain, &labels);
-        let outcome =
-            Detector::new(&chain, &labels, &dataset.interner).detect(&candidates, &graphs);
+        let outcome = Detector::new(&chain, &labels, &dataset.interner).detect(
+            &candidates,
+            &graphs,
+            &Executor::default(),
+        );
         assert_eq!(outcome.confirmed.len(), 1);
         assert!(outcome.confirmed[0].methods.self_trade);
         assert_eq!(outcome.self_trades, 1);

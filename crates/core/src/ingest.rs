@@ -185,7 +185,7 @@ impl ShardRemap {
     }
 }
 
-/// Per-phase instrumentation of one [`Dataset::ingest_blocks_instrumented`]
+/// Per-phase instrumentation of one [`Dataset::ingest_blocks`]
 /// call — the breakdown the ingest-throughput bench records.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestMetrics {
@@ -219,26 +219,14 @@ impl Dataset {
     /// Ingest the ERC-721 transfers of blocks `[from, to]` through the
     /// three-phase pipeline: parallel block-sharded decode with speculative
     /// interning, serial reconcile, parallel splice (see the module docs for
-    /// the shape).
+    /// the shape). Returns what changed together with the per-phase timing
+    /// the pipeline's stage metrics and the ingest-throughput bench read.
     ///
     /// Successive calls must cover disjoint, non-decreasing block ranges (as
     /// a block cursor produces them) — the same contract as
     /// [`Dataset::apply_entries`], to which this is bit-identical over the
     /// same blocks, at any thread count.
     pub fn ingest_blocks(
-        &mut self,
-        chain: &Chain,
-        directory: &MarketplaceDirectory,
-        from: BlockNumber,
-        to: BlockNumber,
-        executor: &Executor,
-    ) -> AppliedEntries {
-        self.ingest_blocks_instrumented(chain, directory, from, to, executor).0
-    }
-
-    /// [`Dataset::ingest_blocks`] with per-phase timing, for the
-    /// ingest-throughput bench and the pipeline's stage metrics.
-    pub fn ingest_blocks_instrumented(
         &mut self,
         chain: &Chain,
         directory: &MarketplaceDirectory,
@@ -625,12 +613,11 @@ mod tests {
     #[test]
     fn sharded_ingest_matches_serial_build_at_every_thread_count() {
         let world = World::generate(WorkloadConfig::small(17)).expect("world");
-        let serial = Dataset::build(&world.chain, &world.directory);
+        let serial = Dataset::build(&world.chain, &world.directory, &Executor::new(1));
         assert!(serial.transfer_count() > 0);
         assert!(!serial.non_compliant_contracts.is_empty(), "world plants rogue contracts");
         for threads in [2, 4, 8] {
-            let parallel =
-                Dataset::build_with(&world.chain, &world.directory, &Executor::new(threads));
+            let parallel = Dataset::build(&world.chain, &world.directory, &Executor::new(threads));
             assert_eq!(parallel, serial, "threads = {threads}");
             assert_eq!(parallel.interner.accounts(), serial.interner.accounts());
         }
@@ -644,9 +631,9 @@ mod tests {
 
         let mut sharded = Dataset::default();
         let mid = BlockNumber(tip.0 / 2);
-        let first =
+        let (first, _) =
             sharded.ingest_blocks(&world.chain, &world.directory, BlockNumber(0), mid, &executor);
-        let second = sharded.ingest_blocks(
+        let (second, _) = sharded.ingest_blocks(
             &world.chain,
             &world.directory,
             BlockNumber(mid.0 + 1),
@@ -676,7 +663,7 @@ mod tests {
         let tip = world.chain.current_block_number();
 
         let mut fallback = Dataset::default();
-        let fallback_delta = fallback.ingest_blocks(
+        let (fallback_delta, _) = fallback.ingest_blocks(
             &world.chain,
             &world.directory,
             BlockNumber(0),
@@ -684,7 +671,7 @@ mod tests {
             &Executor::new(1),
         );
         let mut parallel = Dataset::default();
-        let parallel_delta = parallel.ingest_blocks(
+        let (parallel_delta, _) = parallel.ingest_blocks(
             &world.chain,
             &world.directory,
             BlockNumber(0),
@@ -701,7 +688,7 @@ mod tests {
     fn instrumented_ingest_reports_phases_and_counts() {
         let world = World::generate(WorkloadConfig::small(5)).expect("world");
         let mut dataset = Dataset::default();
-        let (applied, metrics) = dataset.ingest_blocks_instrumented(
+        let (applied, metrics) = dataset.ingest_blocks(
             &world.chain,
             &world.directory,
             BlockNumber(0),
@@ -721,7 +708,7 @@ mod tests {
     fn fallback_reports_a_fully_serial_commit() {
         let world = World::generate(WorkloadConfig::small(5)).expect("world");
         let mut dataset = Dataset::default();
-        let (_, metrics) = dataset.ingest_blocks_instrumented(
+        let (_, metrics) = dataset.ingest_blocks(
             &world.chain,
             &world.directory,
             BlockNumber(0),

@@ -11,9 +11,10 @@
 //! 1. [`dataset`] — collect ERC-721 transfer events by log shape, filter
 //!    contracts through the ERC-165 compliance probe, annotate each transfer
 //!    with the amount paid and the marketplace interacted with (§III). The
-//!    scan runs as a two-phase pipeline ([`ingest`]): parallel block-sharded
-//!    decode, then a serial order-preserving commit that keeps id assignment
-//!    bit-identical at any thread count.
+//!    scan runs as a three-phase pipeline ([`ingest`]): parallel
+//!    block-sharded decode, a serial order-preserving reconcile and a
+//!    parallel splice, which keep id assignment bit-identical at any thread
+//!    count.
 //! 2. [`txgraph`] — build the per-NFT directed multigraph of sales (§IV-A).
 //! 3. [`refine`] — drop service accounts, contract accounts and zero-volume
 //!    components from the suspicious strongly connected components (§IV-B).

@@ -22,11 +22,11 @@ use marketplace::MarketplaceDirectory;
 use oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
 
-use crate::characterize::{characterize_with, Characterization};
+use crate::characterize::{characterize, Characterization};
 use crate::dataset::{Dataset, MarketplaceVolume};
 use crate::detect::{DenseDetectionOutcome, DetectionOutcome, Detector};
 use crate::parallel::Executor;
-use crate::profit::{analyze_resales_with, analyze_rewards_with, ResaleReport, RewardReport};
+use crate::profit::{analyze_resales, analyze_rewards, ResaleReport, RewardReport};
 use crate::refine::{DenseCandidate, RefinementReport, Refiner};
 use crate::txgraph::NftGraph;
 
@@ -118,6 +118,7 @@ pub struct AnalysisContext<'a> {
     candidates: Option<Vec<DenseCandidate>>,
     refinement: Option<RefinementReport>,
     detection: Option<DenseDetectionOutcome>,
+    table1: Option<Vec<MarketplaceVolume>>,
     characterization: Option<Characterization>,
     rewards: Option<RewardReport>,
     resales: Option<ResaleReport>,
@@ -134,6 +135,7 @@ impl<'a> AnalysisContext<'a> {
             candidates: None,
             refinement: None,
             detection: None,
+            table1: None,
             characterization: None,
             rewards: None,
             resales: None,
@@ -166,13 +168,13 @@ impl<'a> AnalysisContext<'a> {
     }
 
     /// Assemble the final report once every stage has run — the single
-    /// point where dense ids resolve back to addresses.
+    /// point where dense ids resolve back to addresses. Table I is the one
+    /// the Characterize stage computed; nothing here scans the dataset.
     fn into_report(self, stage_metrics: Vec<StageMetrics>) -> AnalysisReport {
-        let input = self.input;
         let dataset = Self::expect(self.dataset, "dataset");
         let detection = Self::expect(self.detection, "detection").resolve(&dataset.interner);
         AnalysisReport {
-            table1: dataset.marketplace_volumes(input.directory, input.oracle),
+            table1: Self::expect(self.table1, "table1"),
             dataset_nfts: dataset.nft_count(),
             dataset_transfers: dataset.transfer_count(),
             raw_transfer_events: dataset.raw_transfer_events,
@@ -199,10 +201,10 @@ pub trait PipelineStage {
 }
 
 /// §III: collect ERC-721 transfers, apply the compliance probe, intern every
-/// entity and annotate prices and marketplaces — the two-phase ingest
-/// pipeline (parallel block-sharded decode, serial ordered commit) fanned
-/// out over the shared executor. Items: raw transfer logs in, compliant
-/// transfers out.
+/// entity and annotate prices and marketplaces — the three-phase ingest
+/// pipeline (parallel block-sharded decode, serial reconcile, parallel
+/// splice) fanned out over the shared executor. Items: raw transfer logs
+/// in, compliant transfers out.
 pub struct BuildDataset;
 
 impl PipelineStage for BuildDataset {
@@ -212,7 +214,7 @@ impl PipelineStage for BuildDataset {
 
     fn run(&self, ctx: &mut AnalysisContext<'_>) -> StageIo {
         let mut dataset = Dataset::default();
-        let (_, metrics) = dataset.ingest_blocks_instrumented(
+        let (_, metrics) = dataset.ingest_blocks(
             ctx.input.chain,
             ctx.input.directory,
             ethsim::BlockNumber(0),
@@ -240,7 +242,7 @@ impl PipelineStage for BuildGraphs {
 
     fn run(&self, ctx: &mut AnalysisContext<'_>) -> StageIo {
         let dataset = ctx.dataset();
-        let graphs = NftGraph::from_dataset_with(dataset, &ctx.executor);
+        let graphs = NftGraph::from_dataset(dataset, &ctx.executor);
         let io = StageIo {
             items_in: dataset.transfer_count(),
             items_out: graphs.len(),
@@ -264,7 +266,7 @@ impl PipelineStage for Refine {
     fn run(&self, ctx: &mut AnalysisContext<'_>) -> StageIo {
         let graphs = ctx.graphs();
         let refiner = Refiner::new(ctx.input.chain, ctx.input.labels, &ctx.dataset().interner);
-        let (candidates, refinement) = refiner.refine_with(graphs, &ctx.executor);
+        let (candidates, refinement) = refiner.refine(graphs, &ctx.executor);
         let io = StageIo {
             items_in: graphs.len(),
             items_out: candidates.len(),
@@ -290,7 +292,7 @@ impl PipelineStage for Detect {
     fn run(&self, ctx: &mut AnalysisContext<'_>) -> StageIo {
         let candidates = ctx.candidates();
         let detector = Detector::new(ctx.input.chain, ctx.input.labels, &ctx.dataset().interner);
-        let detection = detector.detect_with(candidates, ctx.graphs(), &ctx.executor);
+        let detection = detector.detect(candidates, ctx.graphs(), &ctx.executor);
         let io = StageIo {
             items_in: candidates.len(),
             items_out: detection.confirmed.len(),
@@ -301,7 +303,9 @@ impl PipelineStage for Detect {
     }
 }
 
-/// §V: volumes, lifetimes, participation patterns, serial traders. Items:
+/// §V: volumes, lifetimes, participation patterns, serial traders. Table I
+/// is computed here, once per study, and kept in the context: the Table II
+/// shares divide by its totals and the report carries the same rows. Items:
 /// confirmed activities in, one characterization out.
 pub struct Characterize;
 
@@ -312,18 +316,16 @@ impl PipelineStage for Characterize {
 
     fn run(&self, ctx: &mut AnalysisContext<'_>) -> StageIo {
         let confirmed = &ctx.detection().confirmed;
-        let characterization = characterize_with(
-            confirmed,
-            ctx.dataset(),
-            ctx.input.directory,
-            ctx.input.oracle,
-            &ctx.executor,
-        );
+        let (directory, oracle) = (ctx.input.directory, ctx.input.oracle);
+        let table1 = ctx.dataset().marketplace_volumes(directory, oracle, &ctx.executor);
+        let characterization =
+            characterize(confirmed, ctx.dataset(), &table1, directory, oracle, &ctx.executor);
         let io = StageIo {
             items_in: confirmed.len(),
             items_out: 1,
             threads_used: ctx.executor.threads_for(confirmed.len()),
         };
+        ctx.table1 = Some(table1);
         ctx.characterization = Some(characterization);
         io
     }
@@ -342,7 +344,7 @@ impl PipelineStage for Profit {
         let confirmed = &ctx.detection().confirmed;
         let input = ctx.input;
         let interner = &ctx.dataset().interner;
-        let rewards = analyze_rewards_with(
+        let rewards = analyze_rewards(
             confirmed,
             input.chain,
             input.directory,
@@ -350,7 +352,7 @@ impl PipelineStage for Profit {
             interner,
             &ctx.executor,
         );
-        let resales = analyze_resales_with(
+        let resales = analyze_resales(
             confirmed,
             input.chain,
             input.directory,

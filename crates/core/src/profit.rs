@@ -125,21 +125,11 @@ impl RewardReport {
 /// dense form; colluder addresses are resolved once per activity for the
 /// chain-history claim scans, and the per-activity outcomes (report structs)
 /// carry resolved NFT identities.
+///
+/// The per-candidate chain scans ([`reward_facts`], the expensive half) fan
+/// out over `executor`; the serial [`reduce_rewards`] then folds the facts
+/// in activity order, so the report is bit-identical at any thread count.
 pub fn analyze_rewards(
-    activities: &[DenseActivity],
-    chain: &Chain,
-    directory: &MarketplaceDirectory,
-    oracle: &PriceOracle,
-    interner: &Interner,
-) -> RewardReport {
-    analyze_rewards_with(activities, chain, directory, oracle, interner, &Executor::new(1))
-}
-
-/// [`analyze_rewards`] with the per-candidate chain scans
-/// ([`reward_facts`], the expensive half) fanned out over `executor`; the
-/// serial [`reduce_rewards`] then folds the facts in activity order, so the
-/// report is bit-identical at any thread count.
-pub fn analyze_rewards_with(
     activities: &[DenseActivity],
     chain: &Chain,
     directory: &MarketplaceDirectory,
@@ -380,23 +370,11 @@ pub struct ResaleReport {
 ///
 /// `graphs` is the `NftKey`-indexed graph table the pipeline built in the
 /// graph stage; component membership checks are linear probes over the
-/// (tiny) dense account lists.
-pub fn analyze_resales(
-    activities: &[DenseActivity],
-    chain: &Chain,
-    directory: &MarketplaceDirectory,
-    oracle: &PriceOracle,
-    graphs: &[NftGraph],
-    interner: &Interner,
-) -> ResaleReport {
-    analyze_resales_with(activities, chain, directory, oracle, graphs, interner, &Executor::new(1))
-}
-
-/// [`analyze_resales`] with the per-candidate graph and fee scans
-/// ([`resale_facts`], the expensive half) fanned out over `executor`; the
+/// (tiny) dense account lists. The per-candidate graph and fee scans
+/// ([`resale_facts`], the expensive half) fan out over `executor`; the
 /// serial [`reduce_resales`] then folds the facts in activity order, so the
 /// report is bit-identical at any thread count.
-pub fn analyze_resales_with(
+pub fn analyze_resales(
     activities: &[DenseActivity],
     chain: &Chain,
     directory: &MarketplaceDirectory,
@@ -631,7 +609,7 @@ mod tests {
         last_day: u64,
     ) -> (Dataset, Vec<NftGraph>, DenseActivity) {
         let dataset = dataset_of(transfers);
-        let graphs = NftGraph::from_dataset(&dataset);
+        let graphs = NftGraph::from_dataset(&dataset, &Executor::default());
         let a = transfers[1].from;
         let b = transfers[1].to;
         let mut pair = vec![a, b];
@@ -673,8 +651,15 @@ mod tests {
             mk(nft, a, Address::derived("victim"), 10.0, 4, "sell"),
         ];
         let (dataset, graphs, activity) = world(&transfers, 2, 3);
-        let report =
-            analyze_resales(&[activity], &chain, &directory, &oracle, &graphs, &dataset.interner);
+        let report = analyze_resales(
+            &[activity],
+            &chain,
+            &directory,
+            &oracle,
+            &graphs,
+            &dataset.interner,
+            &Executor::new(1),
+        );
         assert_eq!(report.total, 1);
         assert_eq!(report.resold, 1);
         assert_eq!(report.not_resold, 0);
@@ -705,8 +690,15 @@ mod tests {
             mk(nft, b, a, 2.0, 3, "y"),
         ];
         let (dataset, graphs, activity) = world(&transfers, 2, 3);
-        let report =
-            analyze_resales(&[activity], &chain, &directory, &oracle, &graphs, &dataset.interner);
+        let report = analyze_resales(
+            &[activity],
+            &chain,
+            &directory,
+            &oracle,
+            &graphs,
+            &dataset.interner,
+            &Executor::new(1),
+        );
         assert_eq!(report.total, 1);
         assert_eq!(report.not_resold, 1);
         assert_eq!(report.resold, 0);

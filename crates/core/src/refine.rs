@@ -251,7 +251,7 @@ impl NftRefinement {
 ///
 /// Pure aggregation: counts are additive and account totals are dense bitset
 /// cardinalities, so the result is independent of iteration order —
-/// [`Refiner::refine_with`] and the streaming re-aggregation share it.
+/// [`Refiner::refine`] and the streaming re-aggregation share it.
 pub fn aggregate_refinements<'a>(
     outcomes: impl IntoIterator<Item = &'a NftRefinement>,
 ) -> RefinementReport {
@@ -410,18 +410,12 @@ impl<'a> Refiner<'a> {
         Refiner { chain, labels, interner }
     }
 
-    /// Refine every NFT graph using one thread per available core; thin
-    /// wrapper over [`Refiner::refine_with`].
-    pub fn refine(&self, graphs: &[NftGraph]) -> (Vec<DenseCandidate>, RefinementReport) {
-        self.refine_with(graphs, &Executor::default())
-    }
-
     /// Refine every NFT graph, returning the surviving candidates and the
     /// per-stage counts. Each NFT graph is independent, so the work is
     /// spread over the executor's thread budget; candidates are sorted by
     /// their resolved [`DenseCandidate::sort_key`], making the output
     /// identical at any thread count (and at any graph enumeration order).
-    pub fn refine_with(
+    pub fn refine(
         &self,
         graphs: &[NftGraph],
         executor: &Executor,
@@ -561,7 +555,7 @@ mod tests {
     }
 
     fn graphs_of(dataset: &Dataset) -> Vec<NftGraph> {
-        NftGraph::from_dataset(dataset)
+        NftGraph::from_dataset(dataset, &Executor::default())
     }
 
     #[test]
@@ -577,7 +571,8 @@ mod tests {
         let graphs = graphs_of(&dataset);
         let chain = chain_with(&[("a", false), ("b", false)]);
         let labels = LabelRegistry::new();
-        let (candidates, report) = Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs);
+        let (candidates, report) =
+            Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs, &Executor::default());
         assert_eq!(candidates.len(), 1);
         let resolved = candidates[0].resolve(&dataset.interner);
         assert_eq!(resolved.accounts, vec![a.min(b), a.max(b)]);
@@ -606,7 +601,8 @@ mod tests {
         let chain = chain_with(&[("user", false), ("exchange-hot-wallet", false)]);
         let mut labels = LabelRegistry::new();
         labels.insert(exchange, "Binance 7", LabelCategory::Exchange);
-        let (candidates, report) = Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs);
+        let (candidates, report) =
+            Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs, &Executor::default());
         assert!(candidates.is_empty());
         assert_eq!(report.initial.components, 1);
         assert_eq!(report.after_service_removal.components, 0);
@@ -627,7 +623,8 @@ mod tests {
         chain.register_eoa(user).unwrap();
         chain.deploy_contract("lending-pool", vec![0x60, 0x80]).unwrap();
         let labels = LabelRegistry::new();
-        let (candidates, report) = Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs);
+        let (candidates, report) =
+            Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs, &Executor::default());
         assert!(candidates.is_empty());
         assert_eq!(report.after_service_removal.components, 1);
         assert_eq!(report.after_contract_removal.components, 0);
@@ -646,7 +643,8 @@ mod tests {
         let graphs = graphs_of(&dataset);
         let chain = chain_with(&[("wallet-1", false), ("wallet-2", false)]);
         let labels = LabelRegistry::new();
-        let (candidates, report) = Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs);
+        let (candidates, report) =
+            Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs, &Executor::default());
         assert!(candidates.is_empty());
         assert_eq!(report.after_contract_removal.components, 1);
         assert_eq!(report.after_zero_volume.components, 0);
@@ -661,7 +659,8 @@ mod tests {
         let graphs = graphs_of(&dataset);
         let chain = chain_with(&[("selfish", false)]);
         let labels = LabelRegistry::new();
-        let (candidates, _) = Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs);
+        let (candidates, _) =
+            Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs, &Executor::default());
         assert_eq!(candidates.len(), 1);
         assert!(candidates[0].has_self_trade());
         assert_eq!(candidates[0].lifetime_days(), 0);
@@ -691,7 +690,8 @@ mod tests {
         let graphs = graphs_of(&dataset);
         let chain = chain_with(&[("m1", false), ("m2", false)]);
         let labels = LabelRegistry::new();
-        let (candidates, _) = Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs);
+        let (candidates, _) =
+            Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs, &Executor::default());
         assert_eq!(candidates.len(), 1);
         let dense = candidates[0]
             .dominant_marketplace(&dataset.interner)
@@ -715,7 +715,8 @@ mod tests {
         let graphs = graphs_of(&dataset);
         let chain = chain_with(&[("p", false), ("q", false)]);
         let labels = LabelRegistry::new();
-        let (_, report) = Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs);
+        let (_, report) =
+            Refiner::new(&chain, &labels, &dataset.interner).refine(&graphs, &Executor::default());
         assert!(report.initial.components >= report.after_service_removal.components);
         assert!(
             report.after_service_removal.components >= report.after_contract_removal.components

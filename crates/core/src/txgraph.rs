@@ -105,18 +105,12 @@ impl NftGraph {
         graph
     }
 
-    /// Build graphs for every NFT in a dataset using one thread per
-    /// available core; thin wrapper over [`NftGraph::from_dataset_with`].
-    pub fn from_dataset(dataset: &Dataset) -> Vec<NftGraph> {
-        NftGraph::from_dataset_with(dataset, &Executor::default())
-    }
-
     /// Build graphs for every NFT in a dataset, spreading construction over
     /// the executor's thread budget. The result is indexed by [`NftKey`]:
     /// `graphs[key.index()]` is that NFT's graph, so no keyed map is needed
     /// downstream. Keys are a fixed enumeration, so the output is identical
     /// at any thread count.
-    pub fn from_dataset_with(dataset: &Dataset, executor: &Executor) -> Vec<NftGraph> {
+    pub fn from_dataset(dataset: &Dataset, executor: &Executor) -> Vec<NftGraph> {
         let keys: Vec<NftKey> = (0..dataset.nft_count() as u32).map(NftKey).collect();
         executor.map(&keys, |key| NftGraph::from_columns(*key, &dataset.columns))
     }

@@ -10,6 +10,7 @@
 //! tests pin that down with exact bit comparisons.
 
 use washtrade::dataset::Dataset;
+use washtrade::parallel::Executor;
 use washtrade::pipeline::{analyze_with, AnalysisInput, AnalysisOptions};
 use workload::{WorkloadConfig, World};
 
@@ -30,7 +31,7 @@ fn assert_bits_eq(a: f64, b: f64, what: &str) {
 #[test]
 fn marketplace_volumes_are_bitwise_stable_across_ingest_slicings() {
     let world = World::generate(WorkloadConfig::small(11)).expect("world");
-    let batch = Dataset::build(&world.chain, &world.directory);
+    let batch = Dataset::build(&world.chain, &world.directory, &Executor::new(1));
 
     // The same chain ingested in many small epochs: interning order is
     // unchanged, but accumulation must not depend on it either way.
@@ -48,8 +49,9 @@ fn marketplace_volumes_are_bitwise_stable_across_ingest_slicings() {
         from = last + 1;
     }
 
-    let batch_rows = batch.marketplace_volumes(&world.directory, &world.oracle);
-    let incremental_rows = incremental.marketplace_volumes(&world.directory, &world.oracle);
+    let batch_rows = batch.marketplace_volumes(&world.directory, &world.oracle, &Executor::new(1));
+    let incremental_rows =
+        incremental.marketplace_volumes(&world.directory, &world.oracle, &Executor::new(1));
     assert_eq!(batch_rows.len(), incremental_rows.len());
     for (a, b) in batch_rows.iter().zip(&incremental_rows) {
         assert_eq!(a.name, b.name);
@@ -59,7 +61,7 @@ fn marketplace_volumes_are_bitwise_stable_across_ingest_slicings() {
     }
     // Re-running on the same dataset is trivially stable too (guards against
     // any accidental map-order iteration inside the accumulation).
-    let again = batch.marketplace_volumes(&world.directory, &world.oracle);
+    let again = batch.marketplace_volumes(&world.directory, &world.oracle, &Executor::new(1));
     for (a, b) in batch_rows.iter().zip(&again) {
         assert_bits_eq(a.volume_usd, b.volume_usd, &format!("{} volume_usd rerun", a.name));
     }

@@ -14,6 +14,7 @@ use ethsim::Wei;
 use ids::NftKey;
 use tokens::NftId;
 use washtrade::dataset::{Dataset, NftTransfer};
+use washtrade::parallel::Executor;
 use workload::{EpochPlan, WorkloadConfig, World};
 
 fn world(seed: u64) -> World {
@@ -65,7 +66,7 @@ fn reference_histories(world: &World, dataset: &Dataset) -> HashMap<NftId, Vec<N
 #[test]
 fn ids_are_dense_and_round_trip_on_a_generated_world() {
     let world = world(21);
-    let dataset = Dataset::build(&world.chain, &world.directory);
+    let dataset = Dataset::build(&world.chain, &world.directory, &Executor::new(1));
     let interner = &dataset.interner;
     assert!(interner.account_count() > 0 && interner.nft_count() > 0);
     for (index, &address) in interner.accounts().iter().enumerate() {
@@ -84,7 +85,7 @@ fn ids_are_dense_and_round_trip_on_a_generated_world() {
 fn epoch_by_epoch_interning_matches_one_shot_over_straddling_boundaries() {
     for seed in [3, 21, 77] {
         let world = world(seed);
-        let batch = Dataset::build(&world.chain, &world.directory);
+        let batch = Dataset::build(&world.chain, &world.directory, &Executor::new(1));
 
         // Ingest along the straddling plan: epoch boundaries cut through the
         // middle of planted activities, so ids for an activity's accounts
@@ -116,7 +117,7 @@ fn epoch_by_epoch_interning_matches_one_shot_over_straddling_boundaries() {
 #[test]
 fn column_slices_equal_the_old_per_nft_vectors() {
     let world = world(5);
-    let dataset = Dataset::build(&world.chain, &world.directory);
+    let dataset = Dataset::build(&world.chain, &world.directory, &Executor::new(1));
     let reference = reference_histories(&world, &dataset);
 
     assert_eq!(dataset.nft_count(), reference.len());
@@ -145,7 +146,7 @@ proptest::proptest! {
         budgets in proptest::collection::vec(1u64..150, 1..5),
     ) {
         let world = World::generate(WorkloadConfig::small(seed)).expect("world");
-        let batch = Dataset::build(&world.chain, &world.directory);
+        let batch = Dataset::build(&world.chain, &world.directory, &Executor::new(1));
 
         let tip = world.chain.current_block_number().0;
         let mut incremental = Dataset::default();

@@ -1,4 +1,4 @@
-//! Determinism gate for the two-phase sharded ingest: on random worlds, the
+//! Determinism gate for the three-phase sharded ingest: on random worlds, the
 //! dataset — columns, interner tables, verdict sets — and the full
 //! `AnalysisReport` must be identical across thread counts {1, 2, 4, 8} and
 //! across epoch slicings, and identical to the serial one-shot build.
@@ -32,14 +32,14 @@ proptest::proptest! {
         budgets in proptest::collection::vec(1u64..150, 1..4),
     ) {
         let world = World::generate(WorkloadConfig::small(seed)).expect("world");
-        let serial = Dataset::build(&world.chain, &world.directory);
+        let serial = Dataset::build(&world.chain, &world.directory, &Executor::new(1));
         let tip = world.chain.current_block_number();
 
         for threads in THREAD_COUNTS {
             let executor = Executor::new(threads);
 
             // One-shot sharded build equals the serial one-shot build.
-            let one_shot = Dataset::build_with(&world.chain, &world.directory, &executor);
+            let one_shot = Dataset::build(&world.chain, &world.directory, &executor);
             proptest::prop_assert_eq!(&one_shot, &serial, "one-shot at {} threads", threads);
             proptest::prop_assert_eq!(one_shot.interner.accounts(), serial.interner.accounts());
             proptest::prop_assert_eq!(one_shot.interner.nfts(), serial.interner.nfts());

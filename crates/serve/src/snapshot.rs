@@ -55,6 +55,7 @@ use tokens::NftId;
 use washtrade::characterize::{component_shape, MarketplaceWashRow};
 use washtrade::dataset::{Dataset, MarketplaceVolume};
 use washtrade::detect::{DenseActivity, MethodSet};
+use washtrade::parallel::Executor;
 use washtrade::pipeline::AnalysisReport;
 
 use crate::chunks::SegmentedVec;
@@ -317,6 +318,7 @@ impl Snapshot {
             Vec::new(),
             Vec::new(),
             &HashMap::new(),
+            None,
         )
     }
 
@@ -334,9 +336,9 @@ impl Snapshot {
     ) -> Snapshot {
         let records =
             Snapshot::dense_records(confirmed, dataset, directory, oracle, paper_catalogue());
-        let table1 = dataset.marketplace_volumes(directory, oracle);
+        let table1 = dataset.marketplace_volumes(directory, oracle, &Executor::new(1));
         let marketplaces = rollup_marketplaces(&records, &table1);
-        Snapshot::assemble(meta, dataset_totals(dataset), records, marketplaces, confirmed_at)
+        Snapshot::assemble(meta, dataset_totals(dataset), records, marketplaces, confirmed_at, None)
     }
 
     /// [`Snapshot::from_dense`] with the per-marketplace rollup rows passed
@@ -358,7 +360,7 @@ impl Snapshot {
     ) -> Snapshot {
         let records =
             Snapshot::dense_records(confirmed, dataset, directory, oracle, paper_catalogue());
-        Snapshot::assemble_with_volumes(
+        Snapshot::assemble(
             meta,
             dataset_totals(dataset),
             records,
@@ -664,25 +666,14 @@ impl Snapshot {
         // would derive from `records` and `report.table1` (the parity suite
         // pins the equality) — reuse them instead of recomputing.
         let marketplaces = report.characterization.per_marketplace.clone();
-        Snapshot::assemble(meta, totals, records, marketplaces, &HashMap::new())
+        Snapshot::assemble(meta, totals, records, marketplaces, &HashMap::new(), None)
     }
 
     /// Full (non-delta) assembly: segment the resolved records at NFT
-    /// boundaries and build every index.
+    /// boundaries and build every index. `wash_volumes` forwards the float
+    /// wash-volume totals from an already-computed characterization; `None`
+    /// re-folds them over every record.
     fn assemble(
-        meta: SnapshotMeta,
-        totals: DatasetTotals,
-        records: Vec<ActivityRecord>,
-        marketplaces: Vec<MarketplaceWashRow>,
-        confirmed_at: &HashMap<NftId, BlockNumber>,
-    ) -> Snapshot {
-        Snapshot::assemble_with_volumes(meta, totals, records, marketplaces, confirmed_at, None)
-    }
-
-    /// [`Snapshot::assemble`] with the float wash-volume totals optionally
-    /// forwarded from an already-computed characterization instead of
-    /// re-folded over every record.
-    fn assemble_with_volumes(
         meta: SnapshotMeta,
         totals: DatasetTotals,
         records: Vec<ActivityRecord>,
@@ -1797,8 +1788,16 @@ mod tests {
             &oracle,
             &HashMap::new(),
         );
-        let characterization =
-            washtrade::characterize::characterize(&activities, &dataset, &directory, &oracle);
+        let executor = Executor::new(1);
+        let table1 = dataset.marketplace_volumes(&directory, &oracle, &executor);
+        let characterization = washtrade::characterize::characterize(
+            &activities,
+            &dataset,
+            &table1,
+            &directory,
+            &oracle,
+            &executor,
+        );
         assert_eq!(snapshot.marketplaces(), &characterization.per_marketplace[..]);
         let names: Vec<&str> =
             snapshot.marketplaces().iter().map(|row| row.name.as_str()).collect();

@@ -45,11 +45,11 @@ impl IncrementalDataset {
     }
 
     /// Scan the span's blocks for ERC-721 transfers and append them,
-    /// returning what changed. Runs the same two-phase sharded ingest as the
-    /// batch path ([`Dataset::ingest_blocks`]): the span's blocks are the
-    /// shard boundaries, decoded in parallel over `executor` and committed
-    /// in order — so an epoch's cost parallelizes exactly like a batch
-    /// build's, and the resulting dataset stays bit-identical to it.
+    /// returning what changed. Runs the same three-phase sharded ingest as
+    /// the batch path ([`Dataset::ingest_blocks`]): the span's blocks are
+    /// the shard boundaries, decoded in parallel over `executor`, reconciled
+    /// in order and spliced — so an epoch's cost parallelizes exactly like a
+    /// batch build's, and the resulting dataset stays bit-identical to it.
     pub fn apply_span(
         &mut self,
         chain: &Chain,
@@ -58,7 +58,8 @@ impl IncrementalDataset {
         executor: &Executor,
     ) -> AppendDelta {
         let raw_before = self.inner.raw_transfer_events;
-        let applied = self.inner.ingest_blocks(chain, directory, span.first, span.last, executor);
+        let (applied, _) =
+            self.inner.ingest_blocks(chain, directory, span.first, span.last, executor);
         AppendDelta {
             dirty: applied.dirty,
             raw_events: self.inner.raw_transfer_events - raw_before,

@@ -298,7 +298,14 @@ impl<'a> StreamAnalyzer<'a> {
         let live = LiveReport {
             refinement: RefinementReport::default(),
             detection: DetectionOutcome::default(),
-            characterization: characterize(&[], empty.dataset(), input.directory, input.oracle),
+            characterization: characterize(
+                &[],
+                empty.dataset(),
+                &[],
+                input.directory,
+                input.oracle,
+                &Executor::new(1),
+            ),
             rewards: reduce_rewards(std::iter::empty(), input.directory),
             resales: reduce_resales(std::iter::empty()),
             dataset_nfts: 0,
@@ -682,7 +689,7 @@ impl<'a> StreamAnalyzer<'a> {
                 pair_facts.push(facts);
             }
         }
-        let (detection, confirmed_indices) = Detector::assemble_indexed(&pairs);
+        let (detection, confirmed_indices) = Detector::assemble(&pairs);
         let confirmed_facts: Vec<&CandidateFacts> =
             confirmed_indices.iter().map(|&index| pair_facts[index as usize]).collect();
         drop(_detect_span);
@@ -784,34 +791,31 @@ impl<'a> StreamAnalyzer<'a> {
         let interner = &dataset.interner;
         let refinement =
             aggregate_refinements(self.states.iter().flatten().map(|state| &state.refinement));
-        let mut pairs: Vec<(DenseCandidate, MethodSet)> = self
+        let mut pairs: Vec<(&DenseCandidate, MethodSet)> = self
             .states
             .iter()
             .flatten()
             .flat_map(|state| {
-                state.refinement.candidates.iter().cloned().zip(state.evidence.iter().copied())
+                state.refinement.candidates.iter().zip(state.evidence.iter().copied())
             })
             .collect();
         pairs.sort_by_key(|(candidate, _)| candidate.sort_key(interner));
-        let (candidates, evidence): (Vec<DenseCandidate>, Vec<MethodSet>) =
-            pairs.into_iter().unzip();
-        let detection = Detector::assemble(&candidates, evidence);
+        let (detection, _) = Detector::assemble(&pairs);
+        let executor = Executor::new(1);
+        let AnalysisInput { chain, directory, oracle, .. } = self.input;
+        let table1 = dataset.marketplace_volumes(directory, oracle, &executor);
         let characterization =
-            characterize(&detection.confirmed, dataset, self.input.directory, self.input.oracle);
-        let rewards = analyze_rewards(
-            &detection.confirmed,
-            self.input.chain,
-            self.input.directory,
-            self.input.oracle,
-            interner,
-        );
+            characterize(&detection.confirmed, dataset, &table1, directory, oracle, &executor);
+        let rewards =
+            analyze_rewards(&detection.confirmed, chain, directory, oracle, interner, &executor);
         let resales = analyze_resales(
             &detection.confirmed,
-            self.input.chain,
-            self.input.directory,
-            self.input.oracle,
+            chain,
+            directory,
+            oracle,
             self.graphs.table(),
             interner,
+            &executor,
         );
         LiveReport {
             refinement,

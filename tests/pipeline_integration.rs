@@ -129,6 +129,29 @@ fn wash_volume_never_exceeds_marketplace_total_volume() {
 }
 
 #[test]
+fn table2_shares_divide_by_the_reported_table1_totals() {
+    // Table II and Table I come from one Table I computation per study: each
+    // share is the row's wash volume over the same report's Table I total,
+    // bit for bit.
+    let (_, report) = run(8);
+    let totals: std::collections::HashMap<&str, f64> =
+        report.table1.iter().map(|row| (row.name.as_str(), row.volume_usd)).collect();
+    let mut checked = 0;
+    for row in &report.characterization.per_marketplace {
+        let Some(share) = row.share_of_marketplace_volume else {
+            continue;
+        };
+        let total = totals
+            .get(row.name.as_str())
+            .unwrap_or_else(|| panic!("{} has a share but no Table I row", row.name));
+        let expected = if *total > 0.0 { row.volume_usd / total } else { 0.0 };
+        assert_eq!(share.to_bits(), expected.to_bits(), "{}: {share} != {expected}", row.name);
+        checked += 1;
+    }
+    assert!(checked > 0, "no Table II row carries a share");
+}
+
+#[test]
 fn larger_worlds_scale_without_breaking_invariants() {
     let world = World::generate(WorkloadConfig::paper_scaled(9, 0.008)).expect("world");
     let report = analyze(AnalysisInput {
