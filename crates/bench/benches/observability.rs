@@ -149,6 +149,7 @@ fn record_results() {
         let mut entry = Json::object();
         entry.set("slo", Json::Str(verdict.slo.clone()));
         entry.set("healthy", Json::Bool(verdict.healthy));
+        entry.set("no_data", Json::Bool(verdict.no_data));
         entry.set("observed", Json::Int(verdict.observed));
         entry.set("threshold", Json::Int(verdict.threshold));
         entry.set("burn", Json::Int(verdict.burn as i64));

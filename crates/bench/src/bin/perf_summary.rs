@@ -275,9 +275,14 @@ fn print_health(section: &Json) {
         return;
     };
     for verdict in verdicts {
+        let state = match (verdict.get("healthy"), verdict.get("no_data")) {
+            (_, Some(Json::Bool(true))) => "no data",
+            (Some(Json::Bool(true)), _) => " ok ",
+            _ => "FAIL",
+        };
         println!(
             "    [{}] {:<16} observed {:>12} threshold {:>12} burn {} (total {})",
-            if matches!(verdict.get("healthy"), Some(Json::Bool(true))) { " ok " } else { "FAIL" },
+            state,
             str_of(verdict.get("slo")).unwrap_or("?"),
             int_of(verdict.get("observed")).unwrap_or(0),
             int_of(verdict.get("threshold")).unwrap_or(0),

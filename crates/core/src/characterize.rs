@@ -273,9 +273,9 @@ pub fn characterize_baseline(
     let market_totals: HashMap<String, f64> =
         table1.iter().map(|row| (row.name.clone(), row.volume_usd)).collect();
 
-    let wash_txs: HashSet<ethsim::TxHash> = activities
+    let wash_txs: BitSet = activities
         .iter()
-        .flat_map(|a| a.candidate.internal_edges.iter().map(|(_, _, e)| e.tx_hash))
+        .flat_map(|a| a.candidate.internal_edges.iter().map(|(_, _, e)| e.tx as usize))
         .collect();
     // One linear pass over the columns; the CDF sorts, so the (fixed) row
     // order only needs to be deterministic, which chain order is. The pass
@@ -293,7 +293,7 @@ pub fn characterize_baseline(
             range
                 .clone()
                 .filter(|&row| {
-                    !wash_txs.contains(&columns.tx_hash[row]) && !columns.price[row].is_zero()
+                    !wash_txs.contains(columns.tx[row] as usize) && !columns.price[row].is_zero()
                 })
                 .map(|row| {
                     oracle.wei_to_usd(columns.price[row], columns.timestamp[row]).unwrap_or(0.0)
@@ -639,6 +639,8 @@ mod tests {
                                     / (edges.len() as u64 - 1).max(1),
                         ),
                         tx_hash: TxHash::hash_of(format!("{collection}-{token}-{i}").as_bytes()),
+                        // One transaction per (NFT, edge), as the hash.
+                        tx: nft.0 * 16 + i as u32,
                         marketplace: None,
                         price: Wei::from_eth(*price),
                     },

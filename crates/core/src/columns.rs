@@ -37,6 +37,10 @@ pub struct TransferRow {
     pub to: AccountId,
     /// The transaction carrying the transfer log.
     pub tx_hash: TxHash,
+    /// The same transaction as a dense index: its position in the chain's
+    /// execution order. Every per-transaction dedup keys on this, not on the
+    /// hash.
+    pub tx: u32,
     /// Block of the transaction.
     pub block: BlockNumber,
     /// Timestamp of the transaction.
@@ -58,6 +62,10 @@ pub struct TransferColumns {
     pub to: Vec<AccountId>,
     /// Transaction hash of each row.
     pub tx_hash: Vec<TxHash>,
+    /// Dense transaction index (chain position) of each row. Rows append in
+    /// execution order, so this column is non-decreasing and the rows of one
+    /// transaction are contiguous.
+    pub tx: Vec<u32>,
     /// Block number of each row.
     pub block: Vec<BlockNumber>,
     /// Timestamp of each row.
@@ -95,6 +103,7 @@ impl TransferColumns {
         self.from.reserve(additional);
         self.to.reserve(additional);
         self.tx_hash.reserve(additional);
+        self.tx.reserve(additional);
         self.block.reserve(additional);
         self.timestamp.reserve(additional);
         self.price.reserve(additional);
@@ -108,6 +117,7 @@ impl TransferColumns {
         self.from.push(row.from);
         self.to.push(row.to);
         self.tx_hash.push(row.tx_hash);
+        self.tx.push(row.tx);
         self.block.push(row.block);
         self.timestamp.push(row.timestamp);
         self.price.push(row.price);
@@ -143,6 +153,7 @@ impl TransferColumns {
             from: self.from[i],
             to: self.to[i],
             tx_hash: self.tx_hash[i],
+            tx: self.tx[i],
             block: self.block[i],
             timestamp: self.timestamp[i],
             price: self.price[i],
@@ -182,6 +193,7 @@ impl TransferColumns {
         self.from.append(&mut segment.from);
         self.to.append(&mut segment.to);
         self.tx_hash.append(&mut segment.tx_hash);
+        self.tx.append(&mut segment.tx);
         self.block.append(&mut segment.block);
         self.timestamp.append(&mut segment.timestamp);
         self.price.append(&mut segment.price);
@@ -202,6 +214,7 @@ impl TransferColumns {
             + self.from.capacity() * size_of::<AccountId>()
             + self.to.capacity() * size_of::<AccountId>()
             + self.tx_hash.capacity() * size_of::<TxHash>()
+            + self.tx.capacity() * size_of::<u32>()
             + self.block.capacity() * size_of::<BlockNumber>()
             + self.timestamp.capacity() * size_of::<Timestamp>()
             + self.price.capacity() * size_of::<Wei>()
@@ -221,6 +234,7 @@ pub struct ColumnSegment {
     from: Vec<AccountId>,
     to: Vec<AccountId>,
     tx_hash: Vec<TxHash>,
+    tx: Vec<u32>,
     block: Vec<BlockNumber>,
     timestamp: Vec<Timestamp>,
     price: Vec<Wei>,
@@ -235,6 +249,7 @@ impl ColumnSegment {
             from: Vec::with_capacity(rows),
             to: Vec::with_capacity(rows),
             tx_hash: Vec::with_capacity(rows),
+            tx: Vec::with_capacity(rows),
             block: Vec::with_capacity(rows),
             timestamp: Vec::with_capacity(rows),
             price: Vec::with_capacity(rows),
@@ -248,6 +263,7 @@ impl ColumnSegment {
         self.from.push(row.from);
         self.to.push(row.to);
         self.tx_hash.push(row.tx_hash);
+        self.tx.push(row.tx);
         self.block.push(row.block);
         self.timestamp.push(row.timestamp);
         self.price.push(row.price);
@@ -283,6 +299,7 @@ mod tests {
             from: AccountId(from),
             to: AccountId(to),
             tx_hash: TxHash::hash_of(format!("{nft}-{from}-{to}-{at}").as_bytes()),
+            tx: at as u32,
             block: BlockNumber(at),
             timestamp: Timestamp::from_secs(at * 13),
             price: Wei::from_eth(1.0),
@@ -347,6 +364,7 @@ mod tests {
             from,
             to,
             tx_hash: TxHash::hash_of(b"t"),
+            tx: 0,
             block: BlockNumber(7),
             timestamp: Timestamp::from_secs(91),
             price: Wei::from_eth(2.0),

@@ -123,17 +123,19 @@ impl Dataset {
         dataset
     }
 
-    /// Intern and append one transfer — the single seam every producer
-    /// (batch build, streaming epochs, test fixtures) funnels through, which
-    /// is what keeps the id assignment append-only and stream-stable.
-    /// Returns the NFT's dense key.
-    pub fn push_transfer(&mut self, transfer: &NftTransfer) -> NftKey {
+    /// Intern and append one transfer carried by the transaction at chain
+    /// position `tx` (its dense transaction index) — the single seam every
+    /// producer (batch build, streaming epochs, test fixtures) funnels
+    /// through, which is what keeps the id assignment append-only and
+    /// stream-stable. Returns the NFT's dense key.
+    pub fn push_transfer(&mut self, transfer: &NftTransfer, tx: u32) -> NftKey {
         let nft = self.interner.intern_nft(transfer.nft);
         let row = TransferRow {
             nft,
             from: self.interner.intern_account(transfer.from),
             to: self.interner.intern_account(transfer.to),
             tx_hash: transfer.tx_hash,
+            tx,
             block: transfer.block,
             timestamp: transfer.timestamp,
             price: transfer.price,
@@ -171,7 +173,7 @@ impl Dataset {
         // are consecutive: the transaction lookup, the marketplace
         // attribution and the ERC-20 payment-log decode are resolved once
         // per transaction and reused for every ERC-721 log it carries.
-        let mut payment: Option<TxPayment> = None;
+        let mut payment: Option<(u32, TxPayment)> = None;
         for entry in entries {
             let Some(decoded) = entry.log.decode_erc721_transfer() else {
                 continue;
@@ -179,23 +181,27 @@ impl Dataset {
             if !self.compliant_contracts.contains(&decoded.contract) {
                 continue;
             }
-            if payment.as_ref().map(|cached| cached.tx_hash) != Some(entry.tx_hash) {
-                let tx = chain
-                    .transaction(entry.tx_hash)
+            if payment.as_ref().map(|(_, cached)| cached.tx_hash) != Some(entry.tx_hash) {
+                let position = chain
+                    .transaction_position(entry.tx_hash)
                     .expect("log entries reference existing transactions");
-                payment = Some(TxPayment::resolve(tx, directory));
+                let tx = chain.transaction(entry.tx_hash).expect("positioned transactions exist");
+                payment = Some((position, TxPayment::resolve(tx, directory)));
             }
-            let payment = payment.as_ref().expect("payment context resolved above");
-            let nft = self.push_transfer(&NftTransfer {
-                nft: NftId::new(decoded.contract, decoded.token_id),
-                from: decoded.from,
-                to: decoded.to,
-                tx_hash: entry.tx_hash,
-                block: entry.block,
-                timestamp: entry.timestamp,
-                price: payment.price_paid_by(decoded.to),
-                marketplace: payment.marketplace,
-            });
+            let (position, payment) = payment.as_ref().expect("payment context resolved above");
+            let nft = self.push_transfer(
+                &NftTransfer {
+                    nft: NftId::new(decoded.contract, decoded.token_id),
+                    from: decoded.from,
+                    to: decoded.to,
+                    tx_hash: entry.tx_hash,
+                    block: entry.block,
+                    timestamp: entry.timestamp,
+                    price: payment.price_paid_by(decoded.to),
+                    marketplace: payment.marketplace,
+                },
+                *position,
+            );
             applied.dirty.push(nft);
             applied.appended += 1;
         }
@@ -289,8 +295,8 @@ impl Dataset {
     /// `executor`, then a serial [`MarketVolumeFold`] replays the
     /// per-transaction accumulation in identity-sorted NFT order — the exact
     /// order the one-level loop used, so the f64 totals are bit-identical at
-    /// any thread count. The streaming analyzer reuses the same fold over
-    /// *cached* leaves, repricing only dirty NFTs.
+    /// any thread count. The streaming analyzer replays the same leaves, in
+    /// the same order, from a cache that prices each row once.
     pub fn marketplace_volumes(
         &self,
         directory: &MarketplaceDirectory,
@@ -298,7 +304,7 @@ impl Dataset {
         executor: &Executor,
     ) -> Vec<MarketplaceVolume> {
         let keys = self.interner.nft_keys_sorted_by_id();
-        let leaves = executor.map(&keys, |&key| self.nft_market_leaves(key, oracle));
+        let leaves = executor.map(&keys, |&key| self.nft_market_leaves(key, 0, oracle));
         let mut fold = MarketVolumeFold::new(self.interner.market_count());
         for (key, leaves) in keys.iter().zip(&leaves) {
             fold.add(*key, leaves);
@@ -306,22 +312,32 @@ impl Dataset {
         fold.rows(directory, &self.interner)
     }
 
-    /// The marketplace-attributed transfer rows of one NFT with their USD
-    /// pricing precomputed, in row (chronological) order — the per-NFT leaf
-    /// record of the two-level [`MarketVolumeFold`]. Leaves are a pure
-    /// function of the NFT's (append-only) history, so cached leaves of
-    /// clean NFTs stay valid across streamed epochs.
-    pub fn nft_market_leaves(&self, key: NftKey, oracle: &PriceOracle) -> NftMarketLeaves {
-        let leaves = self
-            .columns
-            .rows_of(key)
+    /// The marketplace-attributed transfer rows of one NFT past its first
+    /// `skip` rows, with their USD pricing precomputed, in row
+    /// (chronological) order — the per-NFT leaf record of the two-level
+    /// [`MarketVolumeFold`]. Each leaf carries its row's dense transaction
+    /// index as the dedup key.
+    ///
+    /// Leaves are a pure function of the NFT's history, and histories only
+    /// append, so the leaves of a longer history extend those of a shorter
+    /// one: a cache prices only the rows it has not seen
+    /// (`skip = cached.rows`) and [`NftMarketLeaves::append`]s the result.
+    /// Batch callers pass `skip = 0`.
+    pub fn nft_market_leaves(
+        &self,
+        key: NftKey,
+        skip: usize,
+        oracle: &PriceOracle,
+    ) -> NftMarketLeaves {
+        let rows = self.columns.rows_of(key);
+        let leaves = rows[skip.min(rows.len())..]
             .iter()
             .filter_map(|&row| {
                 let row = row as usize;
                 let market = self.columns.marketplace[row]?;
                 Some(MarketLeaf {
                     market,
-                    tx_hash: self.columns.tx_hash[row],
+                    tx: self.columns.tx[row],
                     eth: self.columns.price[row].to_eth(),
                     usd: oracle
                         .wei_to_usd(self.columns.price[row], self.columns.timestamp[row])
@@ -329,7 +345,7 @@ impl Dataset {
                 })
             })
             .collect();
-        NftMarketLeaves { leaves }
+        NftMarketLeaves { rows: rows.len(), leaves }
     }
 }
 
@@ -339,8 +355,9 @@ impl Dataset {
 pub struct MarketLeaf {
     /// The attributed marketplace.
     pub market: ids::MarketId,
-    /// The carrying transaction (volume is deduplicated per transaction).
-    pub tx_hash: TxHash,
+    /// Dense index of the carrying transaction (volume is deduplicated per
+    /// transaction).
+    pub tx: u32,
     /// Price in ETH.
     pub eth: f64,
     /// Price in USD at the transfer's timestamp.
@@ -351,8 +368,21 @@ pub struct MarketLeaf {
 /// [`Dataset::nft_market_leaves`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NftMarketLeaves {
+    /// How many of the NFT's history rows these leaves cover (off-market
+    /// rows included): the watermark past which a cache prices new rows.
+    pub rows: usize,
     /// Leaves in row (chronological) order.
     pub leaves: Vec<MarketLeaf>,
+}
+
+impl NftMarketLeaves {
+    /// Extend these leaves with those of the rows right after them, as
+    /// [`Dataset::nft_market_leaves`] priced them with `skip = self.rows`.
+    pub fn append(&mut self, mut suffix: NftMarketLeaves) {
+        debug_assert!(suffix.rows >= self.rows, "leaf suffix behind the cached watermark");
+        self.leaves.append(&mut suffix.leaves);
+        self.rows = suffix.rows;
+    }
 }
 
 /// The serial reduce of the Table I marketplace volumes: feed it per-NFT
@@ -367,7 +397,7 @@ pub struct MarketVolumeFold {
 
 struct MarketAccumulator {
     nfts: BitSet,
-    transactions: FxHashSet<TxHash>,
+    transactions: BitSet,
     volume_eth: f64,
     volume_usd: f64,
 }
@@ -389,12 +419,12 @@ impl MarketVolumeFold {
             let accumulator =
                 self.per_market[leaf.market.index()].get_or_insert_with(|| MarketAccumulator {
                     nfts: BitSet::new(),
-                    transactions: FxHashSet::default(),
+                    transactions: BitSet::new(),
                     volume_eth: 0.0,
                     volume_usd: 0.0,
                 });
             accumulator.nfts.insert(key.index());
-            if accumulator.transactions.insert(leaf.tx_hash) {
+            if accumulator.transactions.insert(leaf.tx as usize) {
                 accumulator.volume_eth += leaf.eth;
                 accumulator.volume_usd += leaf.usd;
             }

@@ -111,7 +111,8 @@ impl TxPayment {
 /// single-thread fallback.
 struct ShardBatch {
     raw_events: usize,
-    transfers: Vec<NftTransfer>,
+    /// `(transaction index, transfer)` pairs.
+    transfers: Vec<(u32, NftTransfer)>,
     /// Contracts of the shard's matching logs, memoized per consecutive run
     /// (so the list is short, but every contract that emitted a matching log
     /// appears at least once — decode failures included, which the verdict
@@ -127,6 +128,7 @@ struct SpecRow {
     from: u32,
     to: u32,
     tx_hash: TxHash,
+    tx: u32,
     block: BlockNumber,
     timestamp: Timestamp,
     price: Wei,
@@ -324,7 +326,7 @@ impl Dataset {
             for &contract in &batch.contracts {
                 self.probe_contract(chain, contract);
             }
-            for transfer in &batch.transfers {
+            for (tx, transfer) in &batch.transfers {
                 let contract = transfer.nft.contract;
                 let compliant = match verdict {
                     Some((memoized, ok)) if memoized == contract => ok,
@@ -337,7 +339,7 @@ impl Dataset {
                 if !compliant {
                     continue;
                 }
-                applied.dirty.push(self.push_transfer(transfer));
+                applied.dirty.push(self.push_transfer(transfer, *tx));
                 applied.appended += 1;
             }
         }
@@ -432,6 +434,7 @@ impl Dataset {
                     from: remap.settle_account(row.from),
                     to: remap.settle_account(row.to),
                     tx_hash: row.tx_hash,
+                    tx: row.tx,
                     block: row.block,
                     timestamp: row.timestamp,
                     price: row.price,
@@ -484,7 +487,7 @@ fn decode_span(
     // One memoized verdict covers whole runs of same-contract logs.
     let mut known_bad: Option<(Address, bool)> = None;
     let mut payment: Option<TxPayment> = None;
-    chain.for_each_log_in_blocks(span.first, span.last, &filter, |tx, _index, log| {
+    chain.for_each_log_in_blocks(span.first, span.last, &filter, |position, tx, _index, log| {
         batch.raw_events += 1;
         if batch.contracts.last() != Some(&log.address) {
             batch.contracts.push(log.address);
@@ -509,16 +512,19 @@ fn decode_span(
             payment = Some(TxPayment::resolve(tx, directory));
         }
         let payment = payment.as_ref().expect("payment context resolved above");
-        batch.transfers.push(NftTransfer {
-            nft: NftId::new(decoded.contract, decoded.token_id),
-            from: decoded.from,
-            to: decoded.to,
-            tx_hash: tx.hash,
-            block: tx.block,
-            timestamp: tx.timestamp,
-            price: payment.price_paid_by(decoded.to),
-            marketplace: payment.marketplace,
-        });
+        batch.transfers.push((
+            position,
+            NftTransfer {
+                nft: NftId::new(decoded.contract, decoded.token_id),
+                from: decoded.from,
+                to: decoded.to,
+                tx_hash: tx.hash,
+                block: tx.block,
+                timestamp: tx.timestamp,
+                price: payment.price_paid_by(decoded.to),
+                marketplace: payment.marketplace,
+            },
+        ));
     });
     batch
 }
@@ -551,7 +557,7 @@ fn decode_speculate(
     // One memoized verdict covers whole runs of same-contract logs.
     let mut verdict: Option<(Address, bool)> = None;
     let mut payment: Option<TxPayment> = None;
-    chain.for_each_log_in_blocks(span.first, span.last, &filter, |tx, _index, log| {
+    chain.for_each_log_in_blocks(span.first, span.last, &filter, |position, tx, _index, log| {
         raw_events += 1;
         let ok = match verdict {
             Some((memoized, ok)) if memoized == log.address => ok,
@@ -592,6 +598,7 @@ fn decode_speculate(
             from: interner.intern_account(decoded.from),
             to: interner.intern_account(decoded.to),
             tx_hash: tx.hash,
+            tx: position,
             block: tx.block,
             timestamp: tx.timestamp,
             price: payment.price_paid_by(decoded.to),

@@ -40,8 +40,11 @@ pub struct TradeEdge {
 pub struct DenseTradeEdge {
     /// Timestamp of the sale.
     pub timestamp: Timestamp,
-    /// Transaction hash of the sale.
+    /// Transaction hash of the sale (what the resolved edge reports).
     pub tx_hash: TxHash,
+    /// Dense index of the sale's transaction (its chain position) — the key
+    /// every per-transaction dedup and wash-set probe uses.
+    pub tx: u32,
     /// The marketplace interacted with, if any.
     pub marketplace: Option<MarketId>,
     /// Amount paid for the NFT.
@@ -87,6 +90,7 @@ impl NftGraph {
             let edge = DenseTradeEdge {
                 timestamp: columns.timestamp[i],
                 tx_hash: columns.tx_hash[i],
+                tx: columns.tx[i],
                 marketplace: columns.marketplace[i],
                 price: columns.price[i],
             };
@@ -218,11 +222,16 @@ pub(crate) mod tests {
     }
 
     /// Intern a transfer list into a dataset — the fixture seam the dense
-    /// unit tests build their worlds through.
+    /// unit tests build their worlds through. Fixtures have no chain, so
+    /// each distinct transaction hash gets the next dense transaction index
+    /// on first sight, as chain positions would number them.
     pub(crate) fn dataset_of(transfers: &[NftTransfer]) -> Dataset {
         let mut dataset = Dataset::default();
+        let mut txs: std::collections::HashMap<TxHash, u32> = std::collections::HashMap::new();
         for transfer in transfers {
-            dataset.push_transfer(transfer);
+            let next = txs.len() as u32;
+            let tx = *txs.entry(transfer.tx_hash).or_insert(next);
+            dataset.push_transfer(transfer, tx);
         }
         dataset
     }

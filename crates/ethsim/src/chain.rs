@@ -481,6 +481,13 @@ impl Chain {
         self.tx_index.get(&hash).map(|&position| &self.transactions[position as usize])
     }
 
+    /// The position of a transaction in execution order — a dense,
+    /// append-only transaction index (the one [`Chain::for_each_log_in_blocks`]
+    /// hands its visitor).
+    pub fn transaction_position(&self, hash: TxHash) -> Option<u32> {
+        self.tx_index.get(&hash).copied()
+    }
+
     /// All transactions in execution order.
     pub fn transactions(&self) -> impl Iterator<Item = &Transaction> {
         self.transactions.iter()
@@ -522,12 +529,17 @@ impl Chain {
     /// the range is found by binary search — O(log txs), independent of the
     /// range size.
     fn txs_in_blocks(&self, from: BlockNumber, to: BlockNumber) -> &[Transaction] {
+        &self.transactions[self.tx_range_in_blocks(from, to)]
+    }
+
+    /// The positions of [`Chain::txs_in_blocks`]'s slice.
+    fn tx_range_in_blocks(&self, from: BlockNumber, to: BlockNumber) -> std::ops::Range<usize> {
         if from > to {
-            return &[];
+            return 0..0;
         }
         let start = self.transactions.partition_point(|tx| tx.block < from);
         let end = self.transactions.partition_point(|tx| tx.block <= to);
-        &self.transactions[start..end]
+        start..end
     }
 
     /// Number of transactions executed in blocks `[from, to]` — the size
@@ -557,10 +569,12 @@ impl Chain {
     }
 
     /// Visit every log of the blocks in `[from, to]` that matches `filter`,
-    /// in execution order, without materializing anything: the visitor
-    /// borrows the owning transaction (so per-transaction context — value,
-    /// payment logs, recipient — is in hand with no hash lookup), the log's
-    /// index within it, and the log itself.
+    /// in execution order, without materializing anything: the visitor gets
+    /// the owning transaction's position in execution order (its dense
+    /// index, see [`Chain::transaction_position`]), borrows the transaction
+    /// itself (so per-transaction context — value, payment logs, recipient —
+    /// is in hand with no hash lookup), the log's index within it, and the
+    /// log.
     ///
     /// This is the non-allocating sibling of [`Chain::logs_in_blocks`] the
     /// ingest decode shards run on: a shard scans its blocks borrowing every
@@ -572,12 +586,15 @@ impl Chain {
         filter: &LogFilter,
         mut visit: F,
     ) where
-        F: FnMut(&Transaction, usize, &Log),
+        F: FnMut(u32, &Transaction, usize, &Log),
     {
-        for tx in self.txs_in_blocks(from, to) {
+        let range = self.tx_range_in_blocks(from, to);
+        let first = range.start;
+        for (offset, tx) in self.transactions[range].iter().enumerate() {
+            let position = u32::try_from(first + offset).expect("tx space fits u32");
             for (log_index, log) in tx.logs.iter().enumerate() {
                 if filter.matches_log(tx.block, log) {
-                    visit(tx, log_index, log);
+                    visit(position, tx, log_index, log);
                 }
             }
         }
@@ -956,7 +973,8 @@ mod tests {
                 BlockNumber(from),
                 BlockNumber(to),
                 &filter,
-                |tx, log_index, log| {
+                |position, tx, log_index, log| {
+                    assert_eq!(chain.transaction_position(tx.hash), Some(position));
                     visited.push(LogEntry {
                         tx_hash: tx.hash,
                         block: tx.block,

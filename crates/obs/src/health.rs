@@ -66,12 +66,15 @@ pub struct SloSpec {
 pub struct SloVerdict {
     /// The objective's name.
     pub slo: String,
-    /// Whether the objective held at this evaluation. An objective whose
-    /// metric is absent from the snapshot is healthy (no data is not a
-    /// violation).
+    /// Whether the objective held at this evaluation. An objective with no
+    /// data is healthy (no data is not a violation) and says so in
+    /// `no_data`.
     pub healthy: bool,
+    /// Whether there was nothing to judge: the metric is absent from the
+    /// snapshot, or a ratio's two counters are both zero.
+    pub no_data: bool,
     /// The observed value (quantile, gauge, or ratio in basis points); 0
-    /// when the metric is absent.
+    /// when there is no data.
     pub observed: i64,
     /// The configured ceiling or floor.
     pub threshold: i64,
@@ -79,6 +82,17 @@ pub struct SloVerdict {
     pub burn: u64,
     /// Total unhealthy evaluations since the spec was installed.
     pub total_burn: u64,
+}
+
+impl SloVerdict {
+    /// The verdict as a dashboard cell: `" ok "`, `"FAIL"` or `"no data"`.
+    pub fn state(&self) -> &'static str {
+        match (self.healthy, self.no_data) {
+            (_, true) => "no data",
+            (true, false) => " ok ",
+            (false, false) => "FAIL",
+        }
+    }
 }
 
 /// A point-in-time health summary: every objective's verdict plus how often
@@ -100,20 +114,27 @@ impl HealthReport {
         self.verdicts.iter().all(|verdict| verdict.healthy)
     }
 
+    /// How many objectives had no data at the last evaluation.
+    pub fn no_data_count(&self) -> usize {
+        self.verdicts.iter().filter(|verdict| verdict.no_data).count()
+    }
+
     /// Plain-text rendering for dashboards and consoles.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let ok = self.verdicts.iter().filter(|verdict| verdict.healthy).count();
         out.push_str(&format!(
-            "health: {ok}/{total} objectives met after {evals} evaluation(s)\n",
+            "health: {ok}/{total} objectives met ({no_data} without data) after {evals} \
+             evaluation(s)\n",
             total = self.verdicts.len(),
+            no_data = self.no_data_count(),
             evals = self.evaluations,
         ));
         for verdict in &self.verdicts {
             out.push_str(&format!(
                 "  [{state}] {slo:<24} observed {observed:>12}  threshold {threshold:>12}  \
                  burn {burn} (total {total_burn})\n",
-                state = if verdict.healthy { " ok " } else { "FAIL" },
+                state = verdict.state(),
                 slo = verdict.slo,
                 observed = verdict.observed,
                 threshold = verdict.threshold,
@@ -201,36 +222,29 @@ pub fn set_slos(specs: Vec<SloSpec>) {
     monitor.last = Vec::new();
 }
 
-fn judge(rule: &SloRule, snapshot: &MetricsSnapshot) -> (bool, i64, i64) {
-    match rule {
+/// Judge one rule: `(held, observed, threshold)`, with `observed` `None`
+/// when there is no data (which holds: no data is not a violation).
+fn judge(rule: &SloRule, snapshot: &MetricsSnapshot) -> (bool, Option<i64>, i64) {
+    let (observed, threshold) = match rule {
         SloRule::HistogramQuantileAtMost { metric, quantile, ceiling } => {
-            match snapshot.histogram(metric) {
-                Some(summary) => {
-                    let observed = summary.quantile(*quantile) as i64;
-                    (observed <= *ceiling, observed, *ceiling)
-                }
-                None => (true, 0, *ceiling),
-            }
+            (snapshot.histogram(metric).map(|summary| summary.quantile(*quantile) as i64), *ceiling)
         }
-        SloRule::GaugeAtMost { metric, ceiling } => match snapshot.gauge(metric) {
-            Some(observed) => (observed <= *ceiling, observed, *ceiling),
-            None => (true, 0, *ceiling),
-        },
-        SloRule::GaugeAtLeast { metric, floor } => match snapshot.gauge(metric) {
-            Some(observed) => (observed >= *floor, observed, *floor),
-            None => (true, 0, *floor),
-        },
+        SloRule::GaugeAtMost { metric, ceiling } => (snapshot.gauge(metric), *ceiling),
+        SloRule::GaugeAtLeast { metric, floor } => (snapshot.gauge(metric), *floor),
         SloRule::RatioAtLeast { part, rest, floor_bp } => {
             let hits = snapshot.counter(part).unwrap_or(0);
             let misses = snapshot.counter(rest).unwrap_or(0);
-            let total = hits + misses;
-            match hits.saturating_mul(10_000).checked_div(total) {
-                // No traffic yet: nothing has violated the floor.
-                None => (true, 0, *floor_bp),
-                Some(observed) => (observed as i64 >= *floor_bp, observed as i64, *floor_bp),
-            }
+            // No traffic yet is no data.
+            (hits.saturating_mul(10_000).checked_div(hits + misses).map(|bp| bp as i64), *floor_bp)
         }
-    }
+    };
+    let held = observed.is_none_or(|observed| match rule {
+        SloRule::HistogramQuantileAtMost { .. } | SloRule::GaugeAtMost { .. } => {
+            observed <= threshold
+        }
+        SloRule::GaugeAtLeast { .. } | SloRule::RatioAtLeast { .. } => observed >= threshold,
+    });
+    (held, observed, threshold)
 }
 
 /// Judge every installed objective against `snapshot`, advancing burn
@@ -268,7 +282,8 @@ pub fn evaluate(snapshot: &MetricsSnapshot) -> HealthReport {
         verdicts.push(SloVerdict {
             slo: state.spec.name.clone(),
             healthy,
-            observed,
+            no_data: observed.is_none(),
+            observed: observed.unwrap_or(0),
             threshold,
             burn: state.burn,
             total_burn: state.total_burn,

@@ -1608,6 +1608,8 @@ mod tests {
                     DenseTradeEdge {
                         timestamp: Timestamp::from_secs(start_secs + i as u64 * 3_600),
                         tx_hash: TxHash::hash_of(format!("{collection}-{token}-{i}").as_bytes()),
+                        // One transaction per (NFT, edge), as the hash.
+                        tx: nft.0 * 16 + i as u32,
                         marketplace: None,
                         price: Wei::from_eth(*price),
                     },

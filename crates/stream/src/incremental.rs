@@ -168,8 +168,8 @@ mod tests {
     fn sync_appends_only_the_unseen_suffix() {
         let nft = NftId::new(Address::derived("c"), 1);
         let mut dataset = Dataset::default();
-        let key = dataset.push_transfer(&transfer(nft, "a", "b", 1));
-        dataset.push_transfer(&transfer(nft, "b", "a", 2));
+        let key = dataset.push_transfer(&transfer(nft, "a", "b", 1), 0);
+        dataset.push_transfer(&transfer(nft, "b", "a", 2), 1);
 
         let mut graphs = IncrementalGraphs::new();
         graphs.sync(&dataset, &[key]);
@@ -180,7 +180,7 @@ mod tests {
         assert_eq!(graphs.get(key).unwrap().graph.edge_count(), 2);
 
         // A new transfer arrives: only it is appended.
-        dataset.push_transfer(&transfer(nft, "a", "c", 3));
+        dataset.push_transfer(&transfer(nft, "a", "c", 3), 2);
         graphs.sync(&dataset, &[key]);
         let grown = graphs.get(key).unwrap();
         assert_eq!(grown.graph.edge_count(), 3);

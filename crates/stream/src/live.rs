@@ -30,7 +30,7 @@ use washtrade::characterize::{
     activity_facts, characterize, characterize_from_parts, ActivityFacts, Characterization,
     CharacterizeBaseline,
 };
-use washtrade::dataset::NftMarketLeaves;
+use washtrade::dataset::{Dataset, NftMarketLeaves};
 use washtrade::detect::{DenseActivity, DetectionOutcome, Detector, MethodSet};
 use washtrade::parallel::Executor;
 use washtrade::pipeline::{AnalysisInput, AnalysisOptions};
@@ -47,7 +47,7 @@ use washtrade_serve::{Snapshot, SnapshotMeta, SnapshotPublisher, WashVolumes};
 
 use crate::cursor::BlockCursor;
 use crate::incremental::{IncrementalDataset, IncrementalGraphs};
-use crate::tail::{DenseMarketLeaves, DenseVolumeFold, LegitVolumeSet, TxIds};
+use crate::tail::{confirmed_changes, GroupChange, LegitVolumeSet, MarketTotalsFold};
 
 /// What one ingested epoch changed, as reported back to the caller and kept
 /// in [`LiveReport::epochs`].
@@ -236,20 +236,18 @@ pub struct StreamAnalyzer<'a> {
     nft_id_order: Vec<NftKey>,
     /// How many interner keys `nft_id_order` covers.
     known_keys: usize,
-    /// Cached per-NFT marketplace leaves (priced Table I rows) in dense
-    /// transaction-id form, indexed by [`NftKey`]; dirty NFTs are repriced,
-    /// clean ones keep their leaves.
-    market_leaves: Vec<Option<DenseMarketLeaves>>,
-    /// Dense transaction ids backing `market_leaves`: each hash is hashed
-    /// once when a dirty NFT's leaves are cached, so the per-epoch Table I
-    /// fold replay dedups through a bitset instead of a hash set.
-    tx_ids: TxIds,
+    /// Cached per-NFT marketplace leaves (priced Table I rows), indexed by
+    /// [`NftKey`]. Histories only append, so a dirty NFT prices just the
+    /// rows past its cached watermark and extends its leaves; clean NFTs
+    /// keep theirs.
+    market_leaves: Vec<Option<NftMarketLeaves>>,
     /// Maintained collection→creation-time map (Fig. 5 baseline): per-NFT
     /// first rows are immutable, so only dirty NFTs fold in.
     collection_created: HashMap<Address, Timestamp>,
     /// Maintained Fig. 3 legit-volume baseline multiset.
     legit: LegitVolumeSet,
-    confirmed_nfts: BTreeSet<NftId>,
+    /// The confirmation block of every currently confirmed NFT: the last
+    /// block of the epoch of its latest transition into the confirmed set.
     first_confirmed: HashMap<NftId, BlockNumber>,
     /// The confirmed activities still in dense-id form — what each epoch's
     /// snapshot is built from (the publication seam's input).
@@ -329,10 +327,8 @@ impl<'a> StreamAnalyzer<'a> {
             nft_id_order: Vec::new(),
             known_keys: 0,
             market_leaves: Vec::new(),
-            tx_ids: TxIds::new(),
             collection_created: HashMap::new(),
             legit: LegitVolumeSet::new(),
-            confirmed_nfts: BTreeSet::new(),
             first_confirmed: HashMap::new(),
             dense_confirmed: Vec::new(),
             changed_nfts: BTreeSet::new(),
@@ -360,7 +356,10 @@ impl<'a> StreamAnalyzer<'a> {
 
         let applied =
             self.dataset.apply_span(self.input.chain, self.input.directory, span, &self.executor);
+        let mut sync_trace = obs::trace::span("stream.graph_sync");
         self.graphs.sync(self.dataset.dataset(), &applied.dirty);
+        sync_trace.attr("dirty", applied.dirty.len() as u64);
+        sync_trace.finish();
 
         // Dirty-set re-detection: refinement, base evidence and the
         // characterize/profit leaf facts are pure per NFT, so only the
@@ -379,6 +378,7 @@ impl<'a> StreamAnalyzer<'a> {
             .iter()
             .map(|nft| self.graphs.get(*nft).expect("dirty NFT has a synced graph"))
             .collect();
+        let market_leaves = &self.market_leaves;
         let mut detect_trace = obs::trace::span("stream.refine_detect");
         detect_trace.attr("dirty", dirty_graphs.len() as u64);
         let recomputed: Vec<(NftKey, NftState, NftMarketLeaves)> =
@@ -419,11 +419,16 @@ impl<'a> StreamAnalyzer<'a> {
                     evidence.push(methods);
                     facts.push(candidate_facts);
                 }
-                let leaves = dataset.nft_market_leaves(graph.nft, oracle);
+                // Only the rows past the cached watermark are priced.
+                let cached = market_leaves.get(graph.nft.index()).and_then(Option::as_ref);
+                let leaves =
+                    dataset.nft_market_leaves(graph.nft, cached.map_or(0, |l| l.rows), oracle);
                 (graph.nft, NftState { refinement, evidence, facts }, leaves)
             });
         detect_trace.finish();
         drop(dirty_graphs);
+        let mut merge_trace = obs::trace::span("stream.merge");
+        merge_trace.attr("dirty", recomputed.len() as u64);
         let mut evaluate_reruns = 0u64;
         for (nft, state, leaves) in recomputed {
             evaluate_reruns += state.evidence.len() as u64;
@@ -433,8 +438,10 @@ impl<'a> StreamAnalyzer<'a> {
             if self.market_leaves.len() <= nft.index() {
                 self.market_leaves.resize_with(nft.index() + 1, || None);
             }
-            self.market_leaves[nft.index()] =
-                Some(DenseMarketLeaves::from_leaves(&leaves, &mut self.tx_ids));
+            match &mut self.market_leaves[nft.index()] {
+                Some(cached) => cached.append(leaves),
+                slot => *slot = Some(leaves),
+            }
             // Fig. 5 baseline: a dirty NFT has rows, and its first row's
             // timestamp is immutable, so the min-fold is idempotent across
             // re-dirtying.
@@ -458,26 +465,29 @@ impl<'a> StreamAnalyzer<'a> {
                 *slot = Some(state);
             }
         }
+        merge_trace.finish();
 
         let reassemble_started = Instant::now();
-        self.reassemble(span.last);
+        let changes = self.reassemble(span.last);
         let reassemble_ns =
             u64::try_from(reassemble_started.elapsed().as_nanos().max(1)).unwrap_or(u64::MAX);
 
-        // Delta bookkeeping.
-        let now_confirmed: BTreeSet<NftId> =
-            self.live.detection.confirmed.iter().map(|activity| activity.nft()).collect();
-        let new_suspects: Vec<NftId> =
-            now_confirmed.difference(&self.confirmed_nfts).copied().collect();
-        let lost_suspects = self.confirmed_nfts.difference(&now_confirmed).count();
-        for nft in &new_suspects {
-            // Plain insert, not or_insert: an NFT that lost its confirmation
-            // and regained it later must report the *latest* transition, so
-            // `suspects_since` stays consistent with the epoch delta that
-            // just listed it under `new_suspects`.
-            self.first_confirmed.insert(*nft, span.last);
+        // Delta bookkeeping, from the reassembly's diff walk (ascending NFT
+        // order, so `new_suspects` comes out sorted).
+        let mut new_suspects: Vec<NftId> = Vec::new();
+        let mut lost_suspects = 0usize;
+        for change in &changes {
+            if change.is_new() {
+                // A re-confirmed NFT reports its *latest* transition, so
+                // `suspects_since` stays consistent with the epoch delta
+                // that just listed it under `new_suspects`.
+                self.first_confirmed.insert(change.nft, span.last);
+                new_suspects.push(change.nft);
+            } else if change.is_lost() {
+                self.first_confirmed.remove(&change.nft);
+                lost_suspects += 1;
+            }
         }
-        self.confirmed_nfts = now_confirmed;
 
         let delta = EpochDelta {
             index: self.live.epochs.len(),
@@ -597,11 +607,7 @@ impl<'a> StreamAnalyzer<'a> {
     /// Confirmation blocks of the currently confirmed NFTs — the suspect-log
     /// input of the next published snapshot.
     fn current_confirmed_at(&self) -> HashMap<NftId, BlockNumber> {
-        self.first_confirmed
-            .iter()
-            .filter(|(nft, _)| self.confirmed_nfts.contains(*nft))
-            .map(|(nft, block)| (*nft, *block))
-            .collect()
+        self.first_confirmed.clone()
     }
 
     /// Version stamp of the next (or just-) published snapshot.
@@ -660,7 +666,11 @@ impl<'a> StreamAnalyzer<'a> {
     /// Candidates stay dense throughout; the resolved [`DetectionOutcome`]
     /// for the [`LiveReport`] is produced at the end — the same single
     /// resolution point the batch report assembly uses.
-    fn reassemble(&mut self, last_block: BlockNumber) {
+    ///
+    /// Returns the NFT groups whose confirmed activities changed — the one
+    /// diff walk that drives the Fig. 3 transition, the snapshot's delta
+    /// base and the epoch's new and lost suspects.
+    fn reassemble(&mut self, last_block: BlockNumber) -> Vec<GroupChange> {
         let _reassemble_span = obs::span!("stream.reassemble_ns");
         let _reassemble_trace = obs::trace::span("stream.reassemble");
         let dataset = self.dataset.dataset();
@@ -720,16 +730,18 @@ impl<'a> StreamAnalyzer<'a> {
             self.nft_id_order = merged;
             self.known_keys = nft_count;
         }
-        // Fig. 3 baseline: price only the new rows, flip only the rows whose
-        // wash status the confirmed-set transition changed.
+        // Fig. 3 baseline: price only the new rows, and run the confirmed-set
+        // transition over the changed NFT groups only, flipping the rows
+        // whose wash status it changed.
+        let changes = confirmed_changes(&self.dense_confirmed, &detection.confirmed, interner);
         self.legit.append_rows(dataset, oracle);
-        self.legit.apply_confirmed_delta(&self.dense_confirmed, &detection.confirmed);
-        // Table I totals: replay the batch fold over cached per-NFT leaves in
-        // the same id-sorted order (only dirty NFTs were repriced). Dense
-        // transaction ids make the per-transaction dedup a bitset probe, but
-        // every dedup verdict — and so every f64 add, in the same order —
-        // matches the batch fold's bit for bit.
-        let mut fold = DenseVolumeFold::new(interner.market_count());
+        self.legit.apply_confirmed_delta(&self.dense_confirmed, &detection.confirmed, &changes);
+        // Table I totals: replay the batch fold's USD sums over the cached
+        // per-NFT leaves in the same id-sorted order (each row was priced
+        // once, when it arrived), deduplicating on the same dense
+        // transaction indices, so every f64 add happens in the same order on
+        // the same bits.
+        let mut fold = MarketTotalsFold::new(interner.market_count());
         for &key in &self.nft_id_order {
             if let Some(leaves) = self.market_leaves.get(key.index()).and_then(Option::as_ref) {
                 fold.add(leaves);
@@ -759,18 +771,19 @@ impl<'a> StreamAnalyzer<'a> {
         }
 
         self.live.detection = detection.resolve(interner);
-        let previous = std::mem::replace(&mut self.dense_confirmed, detection.confirmed);
+        self.dense_confirmed = detection.confirmed;
         // The next snapshot's delta base: which NFTs' confirmed activities
         // actually changed. Diffing outcomes (rather than trusting the dirty
         // set) is what makes the delta build safe against the leverage pass,
         // which can flip an NFT whose own graph never changed.
-        self.changed_nfts = changed_suspects(&previous, &self.dense_confirmed, interner);
+        self.changed_nfts = changes.iter().map(|change| change.nft).collect();
         self.live.dataset_nfts = dataset.nft_count();
         self.live.dataset_transfers = dataset.transfer_count();
         self.live.raw_transfer_events = dataset.raw_transfer_events;
         self.live.compliant_contracts = dataset.compliant_contracts.len();
         self.live.non_compliant_contracts = dataset.non_compliant_contracts.len();
         self.live.watermark = BlockNumber(last_block.0 + 1);
+        changes
     }
 
     /// The live report as of the last ingested epoch.
@@ -884,6 +897,18 @@ impl<'a> StreamAnalyzer<'a> {
         self.publisher.load()
     }
 
+    /// The dataset ingested so far.
+    pub fn dataset(&self) -> &Dataset {
+        self.dataset.dataset()
+    }
+
+    /// The cached priced marketplace leaves of one NFT — the streamed Table I
+    /// fold's input, extended row by row as the NFT's history grows. `None`
+    /// before the NFT's first transfer.
+    pub fn market_leaves(&self, nft: NftKey) -> Option<&NftMarketLeaves> {
+        self.market_leaves.get(nft.index()).and_then(Option::as_ref)
+    }
+
     /// The confirmed activities still in dense-id form, as the last epoch's
     /// snapshot was built from them.
     pub fn dense_confirmed(&self) -> &[DenseActivity] {
@@ -911,62 +936,4 @@ impl<'a> StreamAnalyzer<'a> {
     pub fn top_movers(&self, n: usize) -> Vec<(NftId, Wei)> {
         self.publisher.load().top_movers(n)
     }
-}
-
-/// The NFTs whose confirmed activity groups differ between two consecutive
-/// dense confirmed sets — the delta-build `changed` contract. Both inputs
-/// are in confirmed order (sorted by `(resolved NFT, first account)`), so
-/// this is a linear merge over per-NFT groups; a group present on only one
-/// side (new or lost suspect) is changed, a group present on both sides is
-/// changed iff its dense activities differ. Dense keys are stable (the
-/// interner is append-only), so equal dense groups resolve to identical
-/// serving records.
-fn changed_suspects(
-    previous: &[DenseActivity],
-    current: &[DenseActivity],
-    interner: &ids::Interner,
-) -> BTreeSet<NftId> {
-    fn group_end(activities: &[DenseActivity], start: usize) -> usize {
-        let key = activities[start].candidate.nft;
-        let mut end = start + 1;
-        while end < activities.len() && activities[end].candidate.nft == key {
-            end += 1;
-        }
-        end
-    }
-    let mut changed = BTreeSet::new();
-    let (mut i, mut j) = (0, 0);
-    while i < previous.len() || j < current.len() {
-        let prev_nft = (i < previous.len()).then(|| interner.nft(previous[i].candidate.nft));
-        let cur_nft = (j < current.len()).then(|| interner.nft(current[j].candidate.nft));
-        match (prev_nft, cur_nft) {
-            (Some(prev), Some(cur)) if prev == cur => {
-                let prev_end = group_end(previous, i);
-                let cur_end = group_end(current, j);
-                if previous[i..prev_end] != current[j..cur_end] {
-                    changed.insert(cur);
-                }
-                i = prev_end;
-                j = cur_end;
-            }
-            (Some(prev), Some(cur)) if prev < cur => {
-                changed.insert(prev);
-                i = group_end(previous, i);
-            }
-            (Some(_), Some(cur)) => {
-                changed.insert(cur);
-                j = group_end(current, j);
-            }
-            (Some(prev), None) => {
-                changed.insert(prev);
-                i = group_end(previous, i);
-            }
-            (None, Some(cur)) => {
-                changed.insert(cur);
-                j = group_end(current, j);
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
-    changed
 }

@@ -246,6 +246,54 @@ fn partial_caches_survive_adversarial_transitions() {
     );
 }
 
+/// The append-only leaf cache: a dirty NFT prices only the rows past its
+/// cached watermark and extends its leaves, so after every epoch each NFT's
+/// cached leaves must equal its leaves priced from scratch over the whole
+/// ingested history — on straddling plans and on the fine fixed-budget plan
+/// whose NFTs are re-dirtied across gaps of clean epochs, at 1, 2, 4 and 8
+/// threads.
+#[test]
+fn cached_market_leaves_equal_leaves_priced_from_scratch() {
+    let world = World::generate(tiny_config(11)).expect("world");
+    let input = input_of(&world);
+    let plans: Vec<(String, Vec<u64>)> = vec![
+        ("straddling 4".to_string(), world.epoch_plan(4).budgets()),
+        ("straddling 9".to_string(), world.epoch_plan(9).budgets()),
+        ("fixed 7".to_string(), vec![7; world.chain.current_block_number().0 as usize + 1]),
+    ];
+    let mut regrown_after_gap = false;
+    for (plan, budgets) in &plans {
+        for threads in [1usize, 2, 4, 8] {
+            let mut live = StreamAnalyzer::new(input, StreamOptions { threads });
+            // Per NFT key: the epochs in which its cached watermark grew.
+            let mut grown: HashMap<u32, Vec<usize>> = HashMap::new();
+            let mut watermarks: HashMap<u32, usize> = HashMap::new();
+            for budget in budgets {
+                let Some(delta) = live.ingest_epoch(*budget) else { break };
+                let dataset = live.dataset();
+                for key in 0..dataset.nft_count() as u32 {
+                    let key = ids::NftKey(key);
+                    let cached = live.market_leaves(key).expect("every known NFT has leaves");
+                    assert_eq!(
+                        cached,
+                        &dataset.nft_market_leaves(key, 0, &world.oracle),
+                        "{plan}, threads {threads}, epoch {}: cached leaves of {key:?} \
+                         diverged from a from-scratch pricing",
+                        delta.index,
+                    );
+                    if watermarks.insert(key.0, cached.rows) != Some(cached.rows) {
+                        grown.entry(key.0).or_default().push(delta.index);
+                    }
+                }
+            }
+            assert!(live.is_caught_up(), "{plan} covers the chain");
+            regrown_after_gap |=
+                grown.values().any(|epochs| epochs.windows(2).any(|w| w[1] - w[0] >= 2));
+        }
+    }
+    assert!(regrown_after_gap, "no NFT was re-dirtied after a clean gap");
+}
+
 proptest::proptest! {
     #[test]
     fn streaming_equals_batch_at_random_epoch_slicings(

@@ -130,9 +130,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     print!("{}", report.render_text());
     println!(
-        "verdict: {} after {} per-epoch evaluations",
+        "verdict: {} after {} per-epoch evaluations ({} objective(s) with no data)",
         if report.healthy() { "HEALTHY" } else { "UNHEALTHY" },
         report.evaluations,
+        report.no_data_count(),
     );
 
     println!("\n== last epoch's span tree (flight recorder) ==");

@@ -133,7 +133,14 @@ fn streamed_world_exports_a_valid_nesting_timeline() {
     let count = validate_chrome_trace(&exported);
     assert!(count >= epochs, "at least one span per ingested epoch");
     // The epoch root and its pipeline phases all made it into the timeline.
-    for name in ["stream.epoch", "ingest.decode", "stream.refine_detect", "serve.publish"] {
+    for name in [
+        "stream.epoch",
+        "ingest.decode",
+        "stream.graph_sync",
+        "stream.refine_detect",
+        "stream.merge",
+        "serve.publish",
+    ] {
         assert!(exported.contains(&format!("\"name\":\"{name}\"")), "no `{name}` span exported");
     }
 }
